@@ -6,7 +6,8 @@
 //	thalia-bench chaos   [-out BENCH_chaos.json] [-runs 3] [-pool N] [-seed 1]
 //	                     [-journal run.jsonl]
 //	thalia-bench scale   [-out BENCH_scale.json] [-sources 35,500,5000]
-//	                     [-mix uniform] [-seed 42] [-pool N] [-journal run.jsonl]
+//	                     [-mix uniform] [-seed 42] [-pool N] [-profile DIR]
+//	                     [-journal run.jsonl]
 //	thalia-bench server  [-out BENCH_server.json] [-clients 8] [-requests 50]
 //	thalia-bench plan    [-runs 200]
 //	thalia-bench report  [-json] [-require-complete] <journal.jsonl>
@@ -42,7 +43,9 @@
 // catalogs (comma-separated curve points) with the -mix heterogeneity mix,
 // evaluated by the scenario mediator on a streaming runner — documents
 // materialize per cell and are released, so memory stays O(pool) while the
-// curve's cells/sec rows pin throughput at each size in BENCH_scale.json.
+// curve's cells/sec rows pin throughput at each size in BENCH_scale.json,
+// split into the generator's share and the evaluation's; -profile writes
+// cpu.pprof and heap.pprof for the curve like engine's.
 package main
 
 import (
@@ -269,6 +272,7 @@ func scaleCmd(args []string, out io.Writer) error {
 	mixFlag := fs.String("mix", "uniform", "heterogeneity mix (e.g. uniform or synonyms:2,nulls)")
 	seed := fs.Int64("seed", 42, "workload generation seed")
 	pool := fs.Int("pool", runtime.GOMAXPROCS(0), "worker pool size")
+	profileDir := fs.String("profile", "", "write cpu.pprof and heap.pprof for the measurement to this directory")
 	journalPath := fs.String("journal", "", "also flight-record one evaluation to this JSONL journal")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -281,6 +285,13 @@ func scaleCmd(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if *profileDir != "" {
+		stop, err := startProfiles(*profileDir)
+		if err != nil {
+			return err
+		}
+		defer stop()
+	}
 	rep, err := scenario.MeasureScale(points, mix, *seed, *pool)
 	if err != nil {
 		return err
@@ -289,7 +300,7 @@ func scaleCmd(args []string, out io.Writer) error {
 		return err
 	}
 	for _, tm := range rep.Timings {
-		fmt.Fprintf(out, "scale: %-14s %10.0f cells/sec (%d run(s), %.1f ms/op)\n",
+		fmt.Fprintf(out, "scale: %-23s %10.0f cells/sec (%d run(s), %.1f ms/op)\n",
 			tm.Name, tm.CellsPerSec, tm.Runs, float64(tm.NsPerOp)/1e6)
 	}
 	fmt.Fprintf(out, "scale: wrote %s\n", *path)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -117,5 +118,32 @@ func TestCompareSuiteMismatch(t *testing.T) {
 	if err := run([]string{"compare", "-baseline", engine, "-fresh", server}, &out); err == nil ||
 		!strings.Contains(err.Error(), "suite mismatch") {
 		t.Fatalf("err = %v, want suite mismatch", err)
+	}
+}
+
+// scale writes a curve artifact with the generate/evaluate split per point
+// that compare gates like the engine suite, and -profile leaves the pprof
+// pair beside it.
+func TestScaleCmdSplitRowsAndProfile(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "scale.json")
+	prof := filepath.Join(dir, "prof")
+	var out strings.Builder
+	if err := run([]string{"scale", "-out", base, "-sources", "24", "-pool", "2", "-profile", prof}, &out); err != nil {
+		t.Fatalf("scale: %v\n%s", err, out.String())
+	}
+	for _, want := range []string{"scale/n24 ", "scale/n24/generate", "scale/n24/evaluate", "wrote " + base} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("scale output missing %q:\n%s", want, out.String())
+		}
+	}
+	for _, name := range []string{"cpu.pprof", "heap.pprof"} {
+		if fi, err := os.Stat(filepath.Join(prof, name)); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s not written: %v", name, err)
+		}
+	}
+	out.Reset()
+	if err := run([]string{"compare", "-baseline", base, "-fresh", base, "-slowdown", "2.0"}, &out); err == nil {
+		t.Fatal("2x scale slowdown passed the gate")
 	}
 }

@@ -332,5 +332,16 @@ func Clock12Bare(min int) string {
 
 // Clock24 formats minutes-since-midnight on a 24-hour clock ("13:30").
 func Clock24(min int) string {
-	return fmt.Sprintf("%02d:%02d", min/60, min%60)
+	var b [5]byte
+	return string(AppendClock24(b[:0], min))
+}
+
+// AppendClock24 appends Clock24(min) to dst, without formatting through fmt
+// for the two-digit hours every real time of day has.
+func AppendClock24(dst []byte, min int) []byte {
+	h, m := min/60, min%60
+	if min < 0 || h > 99 {
+		return fmt.Appendf(dst, "%02d:%02d", h, m)
+	}
+	return append(dst, byte('0'+h/10), byte('0'+h%10), ':', byte('0'+m/10), byte('0'+m%10))
 }

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -264,6 +265,21 @@ func TestClockFormats(t *testing.T) {
 		}
 		if got := Clock24(c.min); got != c.c24 {
 			t.Errorf("Clock24(%d) = %q, want %q", c.min, got, c.c24)
+		}
+	}
+}
+
+// TestClock24MatchesPrintf pins Clock24's hand-rolled digits to the %02d
+// spelling across every minute of a day and the out-of-range inputs that
+// take the fmt path.
+func TestClock24MatchesPrintf(t *testing.T) {
+	for min := -90; min <= 100*60+90; min++ {
+		want := fmt.Sprintf("%02d:%02d", min/60, min%60)
+		if got := Clock24(min); got != want {
+			t.Fatalf("Clock24(%d) = %q, want %q", min, got, want)
+		}
+		if got := string(AppendClock24([]byte("at "), min)); got != "at "+want {
+			t.Fatalf("AppendClock24(%d) = %q, want %q", min, got, "at "+want)
 		}
 	}
 }

@@ -107,13 +107,21 @@ func (l *Lexicon) ToGerman(en string) []string {
 // of) the English term, case-insensitively.
 func (l *Lexicon) ValueContains(germanValue, englishTerm string) bool {
 	lv := strings.ToLower(germanValue)
-	if strings.Contains(lv, strings.ToLower(englishTerm)) {
+	term := strings.ToLower(englishTerm)
+	if strings.Contains(lv, term) {
 		// Loanwords ("Information Retrieval") appear untranslated.
 		return true
 	}
-	for _, de := range l.ToGerman(englishTerm) {
-		if strings.Contains(lv, strings.ToLower(de)) {
-			return true
+	// The renderings tried are ToGerman's — the term's own and those of
+	// every compound it is a stem of — without collecting them first.
+	for key, des := range l.enToDe {
+		if !strings.HasPrefix(key, term) {
+			continue
+		}
+		for _, de := range des {
+			if strings.Contains(lv, strings.ToLower(de)) {
+				return true
+			}
 		}
 	}
 	return false

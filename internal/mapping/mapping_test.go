@@ -151,6 +151,41 @@ func TestLexiconValueContains(t *testing.T) {
 	}
 }
 
+// TestLexiconValueContainsMatchesToGerman pins ValueContains to its
+// definition: a case-insensitive match of the term itself or of any
+// rendering ToGerman lists, over every term and rendering the lexicon
+// knows, their stems, and values built from them.
+func TestLexiconValueContainsMatchesToGerman(t *testing.T) {
+	lex := NewGermanLexicon()
+	byDefinition := func(value, term string) bool {
+		lv := strings.ToLower(value)
+		if strings.Contains(lv, strings.ToLower(term)) {
+			return true
+		}
+		for _, de := range lex.ToGerman(term) {
+			if strings.Contains(lv, strings.ToLower(de)) {
+				return true
+			}
+		}
+		return false
+	}
+	terms := []string{"", "data", "Database", "computer", "Computer Science", "systems", "xml"}
+	values := []string{"", "XML und Datenbanken", "Einführung in Informatik", "Angewandte Rechnernetze"}
+	for en, des := range lex.enToDe {
+		terms = append(terms, en, strings.ToUpper(en), en[:len(en)/2])
+		for _, de := range des {
+			values = append(values, de, "Fortgeschrittene "+strings.ToLower(de))
+		}
+	}
+	for _, term := range terms {
+		for _, value := range values {
+			if got, want := lex.ValueContains(value, term), byDefinition(value, term); got != want {
+				t.Errorf("ValueContains(%q, %q) = %v, want %v", value, term, got, want)
+			}
+		}
+	}
+}
+
 func TestLexiconTags(t *testing.T) {
 	lex := NewGermanLexicon()
 	for tag, want := range map[string]string{

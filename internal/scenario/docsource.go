@@ -25,6 +25,7 @@ type DocSource struct {
 
 type docEntry struct {
 	doc  *xmldom.Document
+	spec QuerySpec
 	refs int
 }
 
@@ -33,30 +34,31 @@ func NewDocSource(sc *Scenario) *DocSource {
 	return &DocSource{sc: sc, live: map[int]*docEntry{}}
 }
 
-// Acquire returns source i's challenge document, building it if no holder
-// exists, and takes a reference. Every Acquire must be paired with a
-// Release or the memory bound degrades to O(sources).
-func (ds *DocSource) Acquire(i int) *xmldom.Document {
+// Acquire returns source i's challenge document with its query spec, both
+// from one walk of the source's stream, building them if no holder exists,
+// and takes a reference. Every Acquire must be paired with a Release or the
+// memory bound degrades to O(sources).
+func (ds *DocSource) Acquire(i int) (*xmldom.Document, QuerySpec) {
 	ds.mu.Lock()
 	if e, ok := ds.live[i]; ok {
 		e.refs++
 		ds.mu.Unlock()
-		return e.doc
+		return e.doc, e.spec
 	}
 	ds.mu.Unlock()
-	doc := ds.sc.ChallengeDocument(i) // built outside the lock; builds may race
+	doc, spec := ds.sc.render(i, true) // built outside the lock; builds may race
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	if e, ok := ds.live[i]; ok { // another acquirer won; share its copy
 		e.refs++
-		return e.doc
+		return e.doc, e.spec
 	}
 	ds.builds++
-	ds.live[i] = &docEntry{doc: doc, refs: 1}
+	ds.live[i] = &docEntry{doc: doc, spec: spec, refs: 1}
 	if len(ds.live) > ds.highWater {
 		ds.highWater = len(ds.live)
 	}
-	return doc
+	return doc, spec
 }
 
 // Release drops one reference to source i; the last release frees the

@@ -3,6 +3,8 @@ package scenario
 import (
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"thalia/internal/benchmark"
@@ -12,26 +14,32 @@ import (
 // artifact pins: the paper's own 35, then two orders past it.
 var DefaultScalePoints = []int{35, 500, 5000}
 
-// scaleRuns picks how many full evaluations to sample at a given size —
-// more passes at small sizes where a single pass is too quick to time
-// stably, one pass at sizes that take seconds on their own.
+// scaleCellBudget is how many cells a curve point's timed passes evaluate
+// together, so the best pass at every size is picked from a comparable
+// amount of work: the largest point gets several passes, not one.
+const scaleCellBudget = 10000
+
+// scaleRuns picks how many timed passes to sample at a given size: enough
+// to spend the cell budget, at least three, and at most fifty.
 func scaleRuns(n int) int {
-	switch {
-	case n <= 50:
-		return 12
-	case n <= 1000:
-		return 4
-	default:
-		return 1
-	}
+	return min(50, max(3, (scaleCellBudget+n-1)/n))
 }
 
 // MeasureScale times the streaming evaluation of generated scenarios at
-// each workload size and returns the "benchmark_scale" report: one timing
-// row per point with the cells/second throughput that the scaling-curve
-// gate compares. Every pass must score fully correct — a throughput number
-// for a wrong evaluation would be meaningless — so a correctness miss is an
-// error, not a data point.
+// each workload size and returns the "benchmark_scale" report. Each point
+// yields three timing rows with their cells/second throughput, all gated
+// by the scaling-curve compare:
+//
+//   - scale/nN, the whole evaluation;
+//   - scale/nN/generate, the generator's share on its own: every expected
+//     answer and challenge document the evaluation builds, on the same
+//     worker pool;
+//   - scale/nN/evaluate, the whole minus the generator share — query
+//     compilation and execution, answer shaping, matching and scoring.
+//
+// Every pass must score fully correct — a throughput number for a wrong
+// evaluation would be meaningless — so a correctness miss is an error, not
+// a data point.
 func MeasureScale(points []int, mix Mix, seed int64, pool int) (*benchmark.Report, error) {
 	if len(points) == 0 {
 		points = DefaultScalePoints
@@ -68,21 +76,59 @@ func MeasureScale(points []int, mix Mix, seed int64, pool int) (*benchmark.Repor
 		// minimum is the least noisy estimator of the workload's cost, and
 		// the ±30% regression gate needs numbers that survive a rerun.
 		runs := scaleRuns(n)
-		var ns int64
+		var total, gen int64
 		for k := 0; k < runs; k++ {
 			start := time.Now()
 			if err := check(); err != nil {
 				return nil, err
 			}
-			if d := time.Since(start).Nanoseconds(); ns == 0 || d < ns {
-				ns = d
-			}
+			total = best(total, time.Since(start).Nanoseconds())
+			start = time.Now()
+			generateAll(sc, pool)
+			gen = best(gen, time.Since(start).Nanoseconds())
 		}
-		t := benchmark.Timing{Name: fmt.Sprintf("scale/n%d", n), Runs: runs, NsPerOp: ns}
-		if ns > 0 {
-			t.CellsPerSec = float64(n) / (float64(ns) / 1e9)
-		}
-		rep.Timings = append(rep.Timings, t)
+		name := fmt.Sprintf("scale/n%d", n)
+		rep.Timings = append(rep.Timings,
+			scaleTiming(name, n, runs, total),
+			scaleTiming(name+"/generate", n, runs, gen),
+			scaleTiming(name+"/evaluate", n, runs, max(total-gen, 0)))
 	}
 	return rep, nil
+}
+
+// best keeps the smaller of a running minimum (0 before the first sample)
+// and a new sample.
+func best(cur, ns int64) int64 {
+	if cur == 0 || ns < cur {
+		return ns
+	}
+	return cur
+}
+
+// scaleTiming is one curve row: ns per pass over n cells.
+func scaleTiming(name string, n, runs int, ns int64) benchmark.Timing {
+	t := benchmark.Timing{Name: name, Runs: runs, NsPerOp: ns}
+	if ns > 0 {
+		t.CellsPerSec = float64(n) / (float64(ns) / 1e9)
+	}
+	return t
+}
+
+// generateAll builds, for every source, what a streaming evaluation's cell
+// generates: the expected answer and the challenge document. The sources
+// are shared out over pool workers, as the runner shares out cells.
+func generateAll(sc *Scenario, pool int) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < pool; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < sc.Sources(); i = int(next.Add(1) - 1) {
+				sc.Truth(i)
+				sc.render(i, true)
+			}
+		}()
+	}
+	wg.Wait()
 }

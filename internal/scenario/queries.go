@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"thalia/internal/benchmark"
@@ -43,24 +44,45 @@ type QuerySpec struct {
 	Credits    int // exclusive lower bound for the case-4 credit filter
 }
 
-// Spec returns source i's generated query spec.
+// Spec returns source i's generated query spec. It walks the source's
+// stream only as far as the planted course the query is anchored on.
 func (sc *Scenario) Spec(i int) QuerySpec {
-	_, spec := sc.gen(i)
-	return spec
+	w := sc.walk(i)
+	w.next()
+	return w.spec
+}
+
+// familyFields is each query family's canonical result-row vocabulary.
+// Every spec of a family shares its slice, which nothing modifies.
+var familyFields = [...][]string{
+	hetero.Synonyms:                            {"source", "course", "instructor"},
+	hetero.SimpleMapping:                       {"source", "course", "title", "time"},
+	hetero.UnionTypes:                          {"source", "course", "title"},
+	hetero.ComplexMappings:                     {"source", "course", "title", "credits"},
+	hetero.LanguageExpression:                  {"source", "course", "title"},
+	hetero.Nulls:                               {"source", "course", "title", "textbook"},
+	hetero.VirtualColumns:                      {"source", "course", "title"},
+	hetero.SemanticIncompatibility:             {"source", "course", "title", "restriction"},
+	hetero.SameAttributeDifferentStructure:     {"source", "course", "title", "room"},
+	hetero.HandlingSets:                        {"source", "course", "title", "instructor"},
+	hetero.AttributeNameDoesNotDefineSemantics: {"source", "course", "title", "instructor", "semester"},
+	hetero.AttributeComposition:                {"source", "course", "title", "day", "time"},
 }
 
 // buildSpec derives source i's query family instance from its planted
 // course. Reference queries stay inside the engine subset the canonical
 // twelve use: FLWOR over one doc(), '=' with %like% patterns, starts-with,
 // numeric comparison.
-func (sc *Scenario) buildSpec(i int, cse hetero.Case, subject string, cs []catalog.Course) QuerySpec {
+func (sc *Scenario) buildSpec(i int, cse hetero.Case, planted *catalog.Course) QuerySpec {
+	subject := subjects[courseSubject(planted)].en
 	s := QuerySpec{
 		Source:     sc.Name(i),
 		Case:       cse,
 		Subject:    subject,
-		Instructor: cs[0].Instructors[0].Name,
-		Start:      cs[0].Start,
-		Credits:    cs[0].Credits - 1,
+		Instructor: planted.Instructors[0].Name,
+		Start:      planted.Start,
+		Credits:    planted.Credits - 1,
+		Fields:     familyFields[cse],
 	}
 	uri := s.Source + ".xml"
 	refFor := fmt.Sprintf("FOR $c in doc(%q)/catalog/course\n", uri)
@@ -74,62 +96,50 @@ func (sc *Scenario) buildSpec(i int, cse hetero.Case, subject string, cs []catal
 	switch cse {
 	case hetero.Synonyms:
 		s.Name = fmt.Sprintf("courses taught by %q", s.Instructor)
-		s.Fields = []string{"source", "course", "instructor"}
 		s.XQuery = refFor + fmt.Sprintf("WHERE $c/instructor = '%s'\n", s.Instructor) + ret
 		s.ChallengeXQuery = chalFor + fmt.Sprintf("WHERE $c/lecturer = '%s'\n", s.Instructor) + ret
 	case hetero.SimpleMapping:
 		s.Name = fmt.Sprintf("courses starting at %s", catalog.Clock24(s.Start))
-		s.Fields = []string{"source", "course", "title", "time"}
 		s.XQuery = refFor + fmt.Sprintf("WHERE starts-with($c/time, '%s')\n", catalog.Clock24(s.Start)) + ret
 		s.ChallengeXQuery = chalFor + fmt.Sprintf("WHERE starts-with($c/time, '%s')\n", catalog.Clock12(s.Start)) + ret
 	case hetero.UnionTypes:
 		s.Name = fmt.Sprintf("%s courses (hyperlinked titles)", subject)
-		s.Fields = []string{"source", "course", "title"}
 		s.XQuery = refFor + titleLike + ret
 		s.ChallengeXQuery = chalFor + titleLike + ret
 	case hetero.ComplexMappings:
 		s.Name = fmt.Sprintf("%s courses worth more than %d credits", subject, s.Credits)
-		s.Fields = []string{"source", "course", "title", "credits"}
 		s.XQuery = refFor + fmt.Sprintf("WHERE $c/credits > %d and $c/title = '%%%s%%'\n", s.Credits, subject) + ret
 		s.ChallengeXQuery = chalFor + titleLike + ret // umfang arithmetic happens in the mediator
 	case hetero.LanguageExpression:
 		s.Name = fmt.Sprintf("%s courses (German source)", subject)
-		s.Fields = []string{"source", "course", "title"}
 		s.XQuery = refFor + titleLike + ret
 		s.ChallengeXQuery = chalFor + ret // lexicon matching happens in the mediator
 	case hetero.Nulls:
 		s.Name = fmt.Sprintf("textbooks for %s courses", subject)
-		s.Fields = []string{"source", "course", "title", "textbook"}
 		s.XQuery = refFor + titleLike + ret
 		s.ChallengeXQuery = chalFor + titleLike + ret
 	case hetero.VirtualColumns:
 		s.Name = fmt.Sprintf("entry-level %s courses", subject)
-		s.Fields = []string{"source", "course", "title"}
 		s.XQuery = refFor + fmt.Sprintf("WHERE $c/prerequisite = 'None' and $c/title = '%%%s%%'\n", subject) + ret
 		s.ChallengeXQuery = chalFor + titleLike + ret // comment inference happens in the mediator
 	case hetero.SemanticIncompatibility:
 		s.Name = fmt.Sprintf("%s courses open to juniors", subject)
-		s.Fields = []string{"source", "course", "title", "restriction"}
 		s.XQuery = refFor + fmt.Sprintf("WHERE $c/title = '%%%s%%' and $c/restriction = '%%JR%%'\n", subject) + ret
 		s.ChallengeXQuery = chalFor + titleLike + ret
 	case hetero.SameAttributeDifferentStructure:
 		s.Name = fmt.Sprintf("rooms for %s courses", subject)
-		s.Fields = []string{"source", "course", "title", "room"}
 		s.XQuery = refFor + titleLike + ret
 		s.ChallengeXQuery = chalFor + titleLike + ret
 	case hetero.HandlingSets:
 		s.Name = fmt.Sprintf("instructors of %s courses", subject)
-		s.Fields = []string{"source", "course", "title", "instructor"}
 		s.XQuery = refFor + titleLike + ret
 		s.ChallengeXQuery = chalFor + titleLike + ret
 	case hetero.AttributeNameDoesNotDefineSemantics:
 		s.Name = fmt.Sprintf("who teaches %s, and when", subject)
-		s.Fields = []string{"source", "course", "title", "instructor", "semester"}
 		s.XQuery = refFor + titleLike + ret
 		s.ChallengeXQuery = chalFor + titleLike + ret
 	case hetero.AttributeComposition:
 		s.Name = fmt.Sprintf("meeting times of %s courses", subject)
-		s.Fields = []string{"source", "course", "title", "day", "time"}
 		s.XQuery = refFor + titleLike + ret
 		s.ChallengeXQuery = chalFor + fmt.Sprintf("WHERE $c/listing = '%%%s%%'\n", subject) + ret
 	}
@@ -143,84 +153,93 @@ var germanLex = mapping.NewGermanLexicon()
 
 // Truth computes source i's expected answer from the ground-truth courses —
 // no documents, no XQuery, so the conformance suite can check generator,
-// engine and mediator against it independently.
+// engine and mediator against it independently. It scores each course as
+// one walk of the source generates it.
 func (sc *Scenario) Truth(i int) []integration.Row {
-	cs, spec := sc.gen(i)
-	return truthFor(spec, cs)
+	var rows []integration.Row
+	w := sc.walk(i)
+	for w.more() {
+		c := w.next()
+		rows = truthRows(rows, &w.spec, &c)
+	}
+	return rows
 }
 
-func truthFor(spec QuerySpec, cs []catalog.Course) []integration.Row {
-	var rows []integration.Row
-	add := func(c *catalog.Course, extra integration.Row) {
-		r := integration.Row{"source": spec.Source, "course": c.Number}
-		for k, v := range extra {
-			r[k] = v
+// truthRows appends the expected rows course c contributes to spec's
+// answer.
+func truthRows(rows []integration.Row, spec *QuerySpec, c *catalog.Course) []integration.Row {
+	add := func(kv ...string) { rows = append(rows, newRow(spec.Source, c.Number, kv...)) }
+	titleMatch := strings.Contains(c.Title, spec.Subject)
+	switch spec.Case {
+	case hetero.Synonyms:
+		for _, in := range c.Instructors {
+			if in.Name == spec.Instructor {
+				add("instructor", in.Name)
+			}
 		}
-		rows = append(rows, r)
-	}
-	titleMatch := func(c *catalog.Course) bool { return strings.Contains(c.Title, spec.Subject) }
-	for k := range cs {
-		c := &cs[k]
-		switch spec.Case {
-		case hetero.Synonyms:
+	case hetero.SimpleMapping:
+		if c.Start == spec.Start {
+			add("title", c.Title, "time", timeRange24(c))
+		}
+	case hetero.UnionTypes:
+		if titleMatch {
+			add("title", c.Title)
+		}
+	case hetero.ComplexMappings:
+		if c.Credits > spec.Credits && titleMatch {
+			add("title", c.Title, "credits", strconv.Itoa(c.Credits))
+		}
+	case hetero.LanguageExpression:
+		if germanLex.ValueContains(c.GermanTitle, spec.Subject) {
+			add("title", c.GermanTitle)
+		}
+	case hetero.Nulls:
+		if titleMatch {
+			tb := mapping.Missing().Marker()
+			if strings.TrimSpace(c.Textbook) != "" {
+				tb = mapping.Present(c.Textbook).Marker()
+			}
+			add("title", c.Title, "textbook", tb)
+		}
+	case hetero.VirtualColumns:
+		if titleMatch && mapping.InferEntryLevel("", c.Comment) {
+			add("title", c.Title)
+		}
+	case hetero.SemanticIncompatibility:
+		if titleMatch {
+			add("title", c.Title, "restriction", mapping.Inapplicable().Marker())
+		}
+	case hetero.SameAttributeDifferentStructure:
+		if titleMatch {
+			add("title", c.Title, "room", c.Room)
+		}
+	case hetero.HandlingSets:
+		if titleMatch {
 			for _, in := range c.Instructors {
-				if in.Name == spec.Instructor {
-					add(c, integration.Row{"instructor": in.Name})
-				}
+				add("title", c.Title, "instructor", in.Name)
 			}
-		case hetero.SimpleMapping:
-			if c.Start == spec.Start {
-				add(c, integration.Row{"title": c.Title, "time": timeRange24(c)})
-			}
-		case hetero.UnionTypes:
-			if titleMatch(c) {
-				add(c, integration.Row{"title": c.Title})
-			}
-		case hetero.ComplexMappings:
-			if c.Credits > spec.Credits && titleMatch(c) {
-				add(c, integration.Row{"title": c.Title, "credits": fmt.Sprintf("%d", c.Credits)})
-			}
-		case hetero.LanguageExpression:
-			if germanLex.ValueContains(c.GermanTitle, spec.Subject) {
-				add(c, integration.Row{"title": c.GermanTitle})
-			}
-		case hetero.Nulls:
-			if titleMatch(c) {
-				tb := mapping.Missing().Marker()
-				if strings.TrimSpace(c.Textbook) != "" {
-					tb = mapping.Present(c.Textbook).Marker()
-				}
-				add(c, integration.Row{"title": c.Title, "textbook": tb})
-			}
-		case hetero.VirtualColumns:
-			if titleMatch(c) && mapping.InferEntryLevel("", c.Comment) {
-				add(c, integration.Row{"title": c.Title})
-			}
-		case hetero.SemanticIncompatibility:
-			if titleMatch(c) {
-				add(c, integration.Row{"title": c.Title, "restriction": mapping.Inapplicable().Marker()})
-			}
-		case hetero.SameAttributeDifferentStructure:
-			if titleMatch(c) {
-				add(c, integration.Row{"title": c.Title, "room": c.Room})
-			}
-		case hetero.HandlingSets:
-			if titleMatch(c) {
-				for _, in := range c.Instructors {
-					add(c, integration.Row{"title": c.Title, "instructor": in.Name})
-				}
-			}
-		case hetero.AttributeNameDoesNotDefineSemantics:
-			if titleMatch(c) {
-				add(c, integration.Row{"title": c.Title, "instructor": c.Instructors[0].Name, "semester": c.Semester})
-			}
-		case hetero.AttributeComposition:
-			if titleMatch(c) {
-				add(c, integration.Row{"title": c.Title, "day": c.Days, "time": timeRange24(c)})
-			}
+		}
+	case hetero.AttributeNameDoesNotDefineSemantics:
+		if titleMatch {
+			add("title", c.Title, "instructor", c.Instructors[0].Name, "semester", c.Semester)
+		}
+	case hetero.AttributeComposition:
+		if titleMatch {
+			add("title", c.Title, "day", c.Days, "time", timeRange24(c))
 		}
 	}
 	return rows
+}
+
+// newRow builds one canonical answer row: the source and course keys plus
+// alternating field names and values.
+func newRow(source, course string, kv ...string) integration.Row {
+	r := make(integration.Row, 2+len(kv)/2)
+	r["source"], r["course"] = source, course
+	for k := 0; k+1 < len(kv); k += 2 {
+		r[kv[k]] = kv[k+1]
+	}
+	return r
 }
 
 // Queries materializes the workload as benchmark queries: query i+1 asks
@@ -246,11 +265,10 @@ func (sc *Scenario) Queries() []*benchmark.Query {
 // families whose truth bakes in mediation knowledge the reference document
 // cannot express (case 5: German values; case 8: inapplicable nulls).
 func (sc *Scenario) RefRows(i int) (rows []integration.Row, checkable bool, err error) {
-	_, spec := sc.gen(i)
-	if spec.Case == hetero.LanguageExpression || spec.Case == hetero.SemanticIncompatibility {
+	if c := sc.Case(i); c == hetero.LanguageExpression || c == hetero.SemanticIncompatibility {
 		return nil, false, nil
 	}
-	doc := sc.ReferenceDocument(i)
+	doc, spec := sc.render(i, false)
 	els, err := evalToElements(spec.XQuery, spec.Source, doc)
 	if err != nil {
 		return nil, true, err
@@ -292,41 +310,36 @@ func evalToElements(query, source string, doc *xmldom.Document) ([]*xmldom.Eleme
 // rows for the spec's family.
 func refExtract(spec QuerySpec, el *xmldom.Element) []integration.Row {
 	var rows []integration.Row
-	add := func(extra integration.Row) {
-		r := integration.Row{"source": spec.Source, "course": el.ChildText("number")}
-		for k, v := range extra {
-			r[k] = v
-		}
-		rows = append(rows, r)
-	}
+	course := el.ChildText("number")
+	add := func(kv ...string) { rows = append(rows, newRow(spec.Source, course, kv...)) }
 	title := el.ChildText("title")
 	switch spec.Case {
 	case hetero.Synonyms:
 		for _, in := range el.ChildrenNamed("instructor") {
 			if in.Text() == spec.Instructor {
-				add(integration.Row{"instructor": in.Text()})
+				add("instructor", in.Text())
 			}
 		}
 	case hetero.SimpleMapping:
-		add(integration.Row{"title": title, "time": el.ChildText("time")})
+		add("title", title, "time", el.ChildText("time"))
 	case hetero.UnionTypes:
-		add(integration.Row{"title": title})
+		add("title", title)
 	case hetero.ComplexMappings:
-		add(integration.Row{"title": title, "credits": el.ChildText("credits")})
+		add("title", title, "credits", el.ChildText("credits"))
 	case hetero.Nulls:
-		add(integration.Row{"title": title, "textbook": el.ChildText("textbook")})
+		add("title", title, "textbook", el.ChildText("textbook"))
 	case hetero.VirtualColumns:
-		add(integration.Row{"title": title})
+		add("title", title)
 	case hetero.SameAttributeDifferentStructure:
-		add(integration.Row{"title": title, "room": el.ChildText("room")})
+		add("title", title, "room", el.ChildText("room"))
 	case hetero.HandlingSets:
 		for _, in := range el.ChildrenNamed("instructor") {
-			add(integration.Row{"title": title, "instructor": in.Text()})
+			add("title", title, "instructor", in.Text())
 		}
 	case hetero.AttributeNameDoesNotDefineSemantics:
-		add(integration.Row{"title": title, "instructor": el.ChildText("instructor"), "semester": el.ChildText("semester")})
+		add("title", title, "instructor", el.ChildText("instructor"), "semester", el.ChildText("semester"))
 	case hetero.AttributeComposition:
-		add(integration.Row{"title": title, "day": el.ChildText("days"), "time": el.ChildText("time")})
+		add("title", title, "day", el.ChildText("days"), "time", el.ChildText("time"))
 	}
 	return rows
 }

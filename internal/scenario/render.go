@@ -1,7 +1,7 @@
 package scenario
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"thalia/internal/catalog"
@@ -15,25 +15,16 @@ import (
 // prerequisite, textbook (element always present, possibly empty),
 // restriction, semester and comment.
 func (sc *Scenario) ReferenceDocument(i int) *xmldom.Document {
-	cs, _ := sc.gen(i)
-	root := xmldom.NewElement("catalog").SetAttr("school", sc.Name(i))
-	for k := range cs {
-		root.Append(refCourse(&cs[k]))
-	}
-	return xmldom.NewDocument(root)
+	doc, _ := sc.render(i, false)
+	return doc
 }
 
 // ChallengeDocument renders source i in its heterogeneity dialect: the
-// reference shape transformed by the source's assigned case. The switch
-// below is the generator's per-class dispatch — every hetero.Case must
-// have an arm here (enforced by the scenariocoverage vet analyzer).
+// reference shape transformed by the source's assigned case (see
+// challengeFields).
 func (sc *Scenario) ChallengeDocument(i int) *xmldom.Document {
-	cs, spec := sc.gen(i)
-	root := xmldom.NewElement("catalog").SetAttr("school", sc.Name(i))
-	for k := range cs {
-		root.Append(challengeCourse(&cs[k], spec.Case))
-	}
-	return xmldom.NewDocument(root)
+	doc, _ := sc.render(i, true)
+	return doc
 }
 
 // ChallengeXML renders source i's challenge document as an XML string —
@@ -45,145 +36,213 @@ func (sc *Scenario) ChallengeXML(i int) string {
 	return b.String()
 }
 
+// render builds source i's reference or challenge document and its query
+// spec from one walk of the source's stream, each course rendered as it is
+// generated.
+func (sc *Scenario) render(i int, challenge bool) (*xmldom.Document, QuerySpec) {
+	w := sc.walk(i)
+	root := xmldom.NewElement("catalog").SetAttr("school", sc.Name(i))
+	root.Children = make([]xmldom.Node, 0, w.n)
+	var buf [maxFields]field
+	for w.more() {
+		c := w.next()
+		tag, fs := "course", refFields(buf[:0], &c)
+		if challenge {
+			tag, fs = challengeFields(fs, &c, w.cse)
+		}
+		root.Append(courseElement(tag, fs))
+	}
+	return xmldom.NewDocument(root), w.spec
+}
+
+// field is one child element of a rendered course: name holding the text
+// value (no text node when value is empty), with a url attribute when url
+// is set, wrapped in a <section> element when inSection is set.
+type field struct {
+	name, value, url string
+	inSection        bool
+}
+
+// maxFields bounds a course's field count: twelve reference fields with a
+// second instructor, plus the one field a dialect may append.
+const maxFields = 14
+
 // timeRange24 renders a course's meeting time in the reference spelling.
 func timeRange24(c *catalog.Course) string {
-	return catalog.Clock24(c.Start) + "-" + catalog.Clock24(c.End)
+	var b [16]byte
+	s := append(catalog.AppendClock24(b[:0], c.Start), '-')
+	return string(catalog.AppendClock24(s, c.End))
 }
 
-// refCourse builds one reference-shaped course element.
-func refCourse(c *catalog.Course) *xmldom.Element {
-	e := xmldom.NewElement("course")
-	appendField(e, "number", c.Number)
-	appendField(e, "title", c.Title)
+// refFields appends course c's reference-shaped fields to fs.
+func refFields(fs []field, c *catalog.Course) []field {
+	fs = append(fs, field{name: "number", value: c.Number}, field{name: "title", value: c.Title})
 	for _, in := range c.Instructors {
-		appendField(e, "instructor", in.Name)
+		fs = append(fs, field{name: "instructor", value: in.Name})
 	}
-	appendField(e, "days", c.Days)
-	appendField(e, "time", timeRange24(c))
-	appendField(e, "room", c.Room)
-	appendField(e, "credits", fmt.Sprintf("%d", c.Credits))
-	appendField(e, "prerequisite", c.Prereq)
-	appendField(e, "textbook", c.Textbook)
-	appendField(e, "restriction", c.Restrict)
-	appendField(e, "semester", c.Semester)
-	appendField(e, "comment", c.Comment)
-	return e
+	return append(fs,
+		field{name: "days", value: c.Days},
+		field{name: "time", value: timeRange24(c)},
+		field{name: "room", value: c.Room},
+		field{name: "credits", value: strconv.Itoa(c.Credits)},
+		field{name: "prerequisite", value: c.Prereq},
+		field{name: "textbook", value: c.Textbook},
+		field{name: "restriction", value: c.Restrict},
+		field{name: "semester", value: c.Semester},
+		field{name: "comment", value: c.Comment},
+	)
 }
 
-func appendField(e *xmldom.Element, name, value string) {
-	f := xmldom.NewElement(name)
-	if value != "" {
-		f.AppendText(value)
-	}
-	e.Append(f)
-}
-
-// challengeCourse transforms a reference-shaped course into the dialect of
-// the given heterogeneity case. Each arm realizes exactly one of the
-// paper's twelve cases, phrased so internal/hetero.DetectDocs diagnoses
-// that case (and only that case) from the rendered pair.
-func challengeCourse(c *catalog.Course, cse hetero.Case) *xmldom.Element {
-	e := refCourse(c)
+// challengeFields transforms a course's reference fields into the dialect
+// of the given heterogeneity case and returns the course element's name
+// with them. Each arm realizes exactly one of the paper's twelve cases,
+// phrased so internal/hetero.DetectDocs diagnoses that case (and only that
+// case) from the rendered pair. The switch is the generator's per-class
+// dispatch — every hetero.Case must have an arm here (enforced by the
+// scenariocoverage vet analyzer).
+func challengeFields(fs []field, c *catalog.Course, cse hetero.Case) (string, []field) {
+	tag := "course"
 	switch cse {
 	case hetero.Synonyms:
 		// Case 1: same attribute, different name.
-		renameChildren(e, "instructor", "lecturer")
+		rename(fs, "instructor", "lecturer")
 	case hetero.SimpleMapping:
 		// Case 2: same attribute, 12-hour clock spelling.
-		setChildText(e, "time", catalog.Clock12(c.Start)+"-"+catalog.Clock12(c.End))
+		edit(fs, "time", func(f *field) { f.value = catalog.Clock12(c.Start) + "-" + catalog.Clock12(c.End) })
 	case hetero.UnionTypes:
 		// Case 3: the title gains an attribute (hyperlink), a union type.
-		e.Child("title").SetAttr("url", c.TitleURL)
+		edit(fs, "title", func(f *field) { f.url = c.TitleURL })
 	case hetero.ComplexMappings:
 		// Case 4: credits spelled as an ETH-style workload ("2V1U").
 		lecture := c.Credits - 1
 		if lecture < 1 {
 			lecture = 1
 		}
-		removeChildren(e, "credits")
-		appendField(e, "umfang", fmt.Sprintf("%dV%dU", lecture, c.Credits-lecture))
+		fs = remove(fs, "credits")
+		fs = append(fs, field{name: "umfang", value: strconv.Itoa(lecture) + "V" + strconv.Itoa(c.Credits-lecture) + "U"})
 	case hetero.LanguageExpression:
 		// Case 5: German schema and German title value.
-		e.Name = "Vorlesung"
-		renameChildren(e, "number", "Nummer")
-		renameChildren(e, "instructor", "Dozent")
-		renameChildren(e, "time", "Zeit")
-		renameChildren(e, "room", "Raum")
-		renameChildren(e, "semester", "Semester")
-		t := e.Child("title")
-		t.Name = "Titel"
-		setText(t, c.GermanTitle)
+		tag = "Vorlesung"
+		rename(fs, "number", "Nummer")
+		rename(fs, "instructor", "Dozent")
+		rename(fs, "time", "Zeit")
+		rename(fs, "room", "Raum")
+		rename(fs, "semester", "Semester")
+		edit(fs, "title", func(f *field) { *f = field{name: "Titel", value: c.GermanTitle} })
 	case hetero.Nulls:
 		// Case 6: a missing textbook drops the element entirely.
 		if strings.TrimSpace(c.Textbook) == "" {
-			removeChildren(e, "textbook")
+			fs = remove(fs, "textbook")
 		}
 	case hetero.VirtualColumns:
 		// Case 7: no prerequisite column; the comment carries the info.
-		removeChildren(e, "prerequisite")
+		fs = remove(fs, "prerequisite")
 	case hetero.SemanticIncompatibility:
 		// Case 8: student classification does not exist in this world.
-		removeChildren(e, "restriction")
+		fs = remove(fs, "restriction")
 	case hetero.SameAttributeDifferentStructure:
 		// Case 9: the room moves under a section element.
-		removeChildren(e, "room")
-		sec := xmldom.NewElement("section")
-		appendField(sec, "room", c.Room)
-		e.Append(sec)
+		fs = remove(fs, "room")
+		fs = append(fs, field{name: "room", value: c.Room, inSection: true})
 	case hetero.HandlingSets:
 		// Case 10: the instructor set joins into one set-valued attribute.
-		removeChildren(e, "instructor")
+		fs = remove(fs, "instructor")
 		names := make([]string, len(c.Instructors))
 		for k, in := range c.Instructors {
 			names[k] = in.Name
 		}
-		appendField(e, "instructors", strings.Join(names, "; "))
+		fs = append(fs, field{name: "instructors", value: strings.Join(names, "; ")})
 	case hetero.AttributeNameDoesNotDefineSemantics:
 		// Case 11: the semester becomes the column NAME holding the
 		// instructor — the value lives in the schema.
-		removeChildren(e, "instructor")
-		removeChildren(e, "semester")
-		appendField(e, strings.ReplaceAll(c.Semester, " ", ""), c.Instructors[0].Name)
+		fs = remove(fs, "instructor")
+		fs = remove(fs, "semester")
+		fs = append(fs, field{name: strings.ReplaceAll(c.Semester, " ", ""), value: c.Instructors[0].Name})
 	case hetero.AttributeComposition:
 		// Case 12: title, days and time compose into one listing value.
-		removeChildren(e, "title")
-		removeChildren(e, "days")
-		removeChildren(e, "time")
-		appendField(e, "listing", fmt.Sprintf("%s. %s %s", c.Title, c.Days, timeRange24(c)))
+		fs = remove(fs, "title")
+		fs = remove(fs, "days")
+		fs = remove(fs, "time")
+		fs = append(fs, field{name: "listing", value: c.Title + ". " + c.Days + " " + timeRange24(c)})
 	}
-	return e
+	return tag, fs
 }
 
-// renameChildren renames every direct child called from to to.
-func renameChildren(e *xmldom.Element, from, to string) {
-	for _, ch := range e.ChildrenNamed(from) {
-		ch.Name = to
-	}
-}
-
-// removeChildren drops every direct child element called name.
-func removeChildren(e *xmldom.Element, name string) {
-	out := e.Children[:0]
-	for _, n := range e.Children {
-		if el, ok := n.(*xmldom.Element); ok && el.Name == name {
-			continue
+// edit applies change to every field called name.
+func edit(fs []field, name string, change func(*field)) {
+	for k := range fs {
+		if fs[k].name == name {
+			change(&fs[k])
 		}
-		out = append(out, n)
-	}
-	e.Children = out
-}
-
-// setText replaces an element's content with one text node.
-func setText(e *xmldom.Element, s string) {
-	e.Children = nil
-	if s != "" {
-		e.AppendText(s)
 	}
 }
 
-// setChildText replaces the first child name's content.
-func setChildText(e *xmldom.Element, name, s string) {
-	if ch := e.Child(name); ch != nil {
-		setText(ch, s)
+// rename renames every field called from to to.
+func rename(fs []field, from, to string) {
+	edit(fs, from, func(f *field) { f.name = to })
+}
+
+// remove drops every field called name, keeping the others in order.
+func remove(fs []field, name string) []field {
+	out := fs[:0]
+	for _, f := range fs {
+		if f.name != name {
+			out = append(out, f)
+		}
 	}
+	return out
+}
+
+// courseElement builds the element for one course's final fields. Its
+// elements, text nodes and child lists come from three slabs sized exactly
+// for the course, so a course costs three allocations however many fields
+// it has.
+func courseElement(tag string, fs []field) *xmldom.Element {
+	nEls, nTexts := 1+len(fs), 0
+	for _, f := range fs {
+		if f.inSection {
+			nEls++
+		}
+		if f.value != "" {
+			nTexts++
+		}
+	}
+	els := make([]xmldom.Element, nEls)
+	texts := make([]xmldom.Text, nTexts)
+	kids := make([]xmldom.Node, nEls-1+nTexts)
+	// elem takes the next element with room for k children; an element
+	// with none keeps a nil child list, as a parsed empty element has.
+	elem := func(name string, k int) *xmldom.Element {
+		e := &els[0]
+		els = els[1:]
+		e.Name = name
+		if k > 0 {
+			e.Children = kids[:0:k]
+			kids = kids[k:]
+		}
+		return e
+	}
+	course := elem(tag, len(fs))
+	for _, f := range fs {
+		parent := course
+		if f.inSection {
+			parent = elem("section", 1)
+			course.Append(parent)
+		}
+		k := 0
+		if f.value != "" {
+			k = 1
+		}
+		fe := elem(f.name, k)
+		if f.url != "" {
+			fe.Attrs = []xmldom.Attr{{Name: "url", Value: f.url}}
+		}
+		if f.value != "" {
+			texts[0].Data = f.value
+			fe.Append(&texts[0])
+			texts = texts[1:]
+		}
+		parent.Append(fe)
+	}
+	return course
 }

@@ -1,0 +1,110 @@
+package scenario
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
+	"testing"
+
+	"thalia/internal/integration"
+	"thalia/internal/xmldom"
+)
+
+// generatedDigest hashes everything the generator emits for the first n
+// sources of a uniform scenario: the query spec, the expected answer, and
+// both rendered documents serialized byte for byte.
+func generatedDigest(t *testing.T, seed int64, n, size int) string {
+	t.Helper()
+	sc, err := New(Params{Sources: n, Seed: seed, Size: size})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(h, "%+v\n%v\n", sc.Spec(i), sc.Truth(i))
+		var ref strings.Builder
+		if err := sc.ReferenceDocument(i).WriteTo(&ref, xmldom.WriteOptions{Indent: "  "}); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s\n%s\n", ref.String(), sc.ChallengeXML(i))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGeneratedArtifactsPinned pins the generator's output: specs, truth
+// and both documents of 60 sources (every class, several times) at two
+// seeds and sizes. Rendering and generation may get faster; what they emit
+// may not change, since committed scale baselines and journals assume it.
+func TestGeneratedArtifactsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed       int64
+		size       int
+		wantSHA256 string
+	}{
+		{seed: 42, size: 0, wantSHA256: "299c144992d5c56a06a4407d88b7cdd41b34dec27f73657f1c525048287016af"},
+		{seed: -7, size: 3, wantSHA256: "edd05587b1cf99bdba1387d2f65acb694e99b648e091669b2c8491008867f605"},
+	} {
+		if got := generatedDigest(t, tc.seed, 60, tc.size); got != tc.wantSHA256 {
+			t.Errorf("seed %d size %d: generated artifacts digest %s, want %s", tc.seed, tc.size, got, tc.wantSHA256)
+		}
+	}
+}
+
+// TestCourseElementSlabs checks the slab-built course element against the
+// node model's own invariants: every child points back at its parent, and
+// child lists have no spare capacity for a later append to write through
+// into a neighbour's slots.
+func TestCourseElementSlabs(t *testing.T) {
+	sc, err := New(Params{Sources: 24, Seed: 5, Size: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var check func(e *xmldom.Element)
+	check = func(e *xmldom.Element) {
+		if len(e.Children) != cap(e.Children) {
+			t.Fatalf("<%s>: %d children with capacity %d", e.Name, len(e.Children), cap(e.Children))
+		}
+		for _, ch := range e.Children {
+			if ch.Parent() != e {
+				t.Fatalf("<%s>: child %v has the wrong parent", e.Name, ch)
+			}
+			if el, ok := ch.(*xmldom.Element); ok {
+				check(el)
+			}
+		}
+	}
+	for i := 0; i < sc.Sources(); i++ {
+		for _, course := range sc.ChallengeDocument(i).Root.ChildElements() {
+			check(course)
+		}
+	}
+}
+
+// cellAllocBudget caps the mean allocations of one streaming cell over a
+// uniform scenario: its expected answer plus the mediator's answer, which
+// renders the challenge document, compiles and runs the query and shapes
+// the rows. A cell takes about 515 on two generator walks with slab-built
+// documents; a third walk (about 85 more), or rendering each course node
+// by node (about 1150 in all), blows the budget.
+const cellAllocBudget = 575
+
+func TestCellAllocationBudget(t *testing.T) {
+	sc, err := New(Params{Sources: 48, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	med := sc.NewMediator()
+	perCell := testing.AllocsPerRun(5, func() {
+		for i := 0; i < sc.Sources(); i++ {
+			sc.Truth(i)
+			if _, err := med.Answer(integration.Request{QueryID: i + 1, Challenge: sc.Name(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / float64(sc.Sources())
+	t.Logf("%.0f allocations per cell", perCell)
+	if perCell > cellAllocBudget {
+		t.Errorf("%.0f allocations per cell, budget %d", perCell, cellAllocBudget)
+	}
+}

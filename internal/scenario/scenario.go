@@ -261,7 +261,11 @@ func (sc *Scenario) pickCase(r *rng) hetero.Case {
 // freshly generated on every call (regeneration is the streaming model's
 // memory bound) and safe to retain or mutate.
 func (sc *Scenario) Courses(i int) []catalog.Course {
-	cs, _ := sc.gen(i)
+	w := sc.walk(i)
+	cs := make([]catalog.Course, 0, w.n)
+	for w.more() {
+		cs = append(cs, w.next())
+	}
 	return cs
 }
 
@@ -296,7 +300,7 @@ func (r *rng) intn(n int) int {
 // Vocabulary pools. Subjects pair each English topic with the German
 // rendering the mapping lexicon knows, so language-expression sources stay
 // resolvable by the same dictionary the canonical testbed uses.
-var subjects = []struct{ en, de string }{
+var subjects = [...]struct{ en, de string }{
 	{"Database Systems", "Datenbanksysteme"},
 	{"Data Structures", "Datenstrukturen"},
 	{"Operating Systems", "Betriebssysteme"},
@@ -308,7 +312,7 @@ var subjects = []struct{ en, de string }{
 	{"Computer Science", "Informatik"},
 }
 
-var titlePrefixes = []struct{ en, de string }{
+var titlePrefixes = [...]struct{ en, de string }{
 	{"Introduction to ", "Einführung in "},
 	{"Advanced ", "Fortgeschrittene "},
 	{"", ""},
@@ -316,37 +320,88 @@ var titlePrefixes = []struct{ en, de string }{
 	{"Applied ", "Angewandte "},
 }
 
-var firstNames = []string{"Mark", "Rita", "Hana", "Joachim", "Ling", "Sara", "Victor", "Amina"}
+var firstNames = [...]string{"Mark", "Rita", "Hana", "Joachim", "Ling", "Sara", "Victor", "Amina"}
 
-var lastNames = []string{"Hall", "Wong", "Schmidt", "Okafor", "Iyer", "Novak", "Baker", "Lindqvist"}
+var lastNames = [...]string{"Hall", "Wong", "Schmidt", "Okafor", "Iyer", "Novak", "Baker", "Lindqvist"}
 
-var buildings = []string{"Hall", "Weil", "Benton", "CSE"}
+// buildings each carry the space that separates them from a room number.
+var buildings = []string{"Hall ", "Weil ", "Benton ", "CSE "}
 
 var dayPool = []string{"MWF", "TTh", "MW", "F", "TTh"}
 
 var semesters = []string{"Fall 2003", "Winter 2004", "Spring 2004"}
 
-// gen generates source i: its ground-truth courses and the query spec for
-// its family. Everything derives from the source's splitmix64 stream, so
-// repeated calls are identical.
-func (sc *Scenario) gen(i int) ([]catalog.Course, QuerySpec) {
-	r := sc.sourceRNG(i)
-	cse := sc.pickCase(r)
-	n := sc.p.Size + r.intn(sc.p.Size)
-	cs := make([]catalog.Course, n)
-	var plantedSubject string
-	for j := range cs {
-		cs[j] = genCourse(r, cse, j)
-		if j == 0 {
-			plantedSubject = subjects[courseSubject(&cs[0])].en
+var restricts = []string{"JR or SR", "SR", "FR, SO", "GR", "JR"}
+
+// vocab spells every title, German title, textbook and instructor name the
+// pools combine into once, so generated courses share these strings
+// instead of concatenating fresh copies per course.
+var vocab = func() (v struct {
+	titles, germanTitles [len(titlePrefixes)][len(subjects)]string
+	textbooks            [len(subjects)]string
+	names                [len(firstNames)][len(lastNames)]string
+}) {
+	for si, sub := range subjects {
+		for pi, pre := range titlePrefixes {
+			v.titles[pi][si] = pre.en + sub.en
+			v.germanTitles[pi][si] = pre.de + sub.de
+		}
+		v.textbooks[si] = "Foundations of " + sub.en
+	}
+	for f, first := range firstNames {
+		for l, last := range lastNames {
+			v.names[f][l] = first + " " + last
 		}
 	}
-	spec := sc.buildSpec(i, cse, plantedSubject, cs)
-	return cs, spec
+	return v
+}()
+
+// courseURL prefixes a generated course number to make its title link.
+const courseURL = "http://courses.example.edu/"
+
+// numbered spells prefix followed by n in a single allocation.
+func numbered(prefix string, n int) string {
+	var b [48]byte
+	return string(strconv.AppendInt(append(b[:0], prefix...), int64(n), 10))
 }
 
-// subjectIdx recovers which subject a generated title used; genCourse
-// stamps it in the description so no side table is needed.
+// walk is one pass over source i's stream: the case and the course count
+// are drawn when it starts, and each next call generates the following
+// course. The first course is the planted one that anchors the query, so
+// spec is complete from the first next call on. Everything derives from
+// the source's splitmix64 stream, so every walk of a source is identical;
+// a consumer takes one walk and renders, scores or collects as it goes,
+// never holding the course list.
+type walk struct {
+	sc   *Scenario
+	i    int
+	r    *rng
+	cse  hetero.Case
+	n, j int
+	spec QuerySpec
+}
+
+// walk starts a pass over source i's stream.
+func (sc *Scenario) walk(i int) *walk {
+	r := sc.sourceRNG(i)
+	cse := sc.pickCase(r)
+	return &walk{sc: sc, i: i, r: r, cse: cse, n: sc.p.Size + r.intn(sc.p.Size)}
+}
+
+// more reports whether the source has courses left.
+func (w *walk) more() bool { return w.j < w.n }
+
+// next generates the source's next course.
+func (w *walk) next() catalog.Course {
+	c := genCourse(w.r, w.cse, w.j)
+	if w.j == 0 {
+		w.spec = w.sc.buildSpec(w.i, w.cse, &c)
+	}
+	w.j++
+	return c
+}
+
+// courseSubject recovers which subject a generated title used.
 func courseSubject(c *catalog.Course) int {
 	for idx := range subjects {
 		if strings.Contains(c.Title, subjects[idx].en) {
@@ -363,7 +418,7 @@ func courseSubject(c *catalog.Course) int {
 func genCourse(r *rng, cse hetero.Case, j int) catalog.Course {
 	si := r.intn(len(subjects))
 	pi := r.intn(len(titlePrefixes))
-	num := fmt.Sprintf("CS%d", 100+j)
+	url := numbered(courseURL+"CS", 100+j)
 
 	nInstr := 1 + r.intn(2)
 	if cse == hetero.AttributeNameDoesNotDefineSemantics {
@@ -374,9 +429,8 @@ func genCourse(r *rng, cse hetero.Case, j int) catalog.Course {
 	}
 	instructors := make([]catalog.Instructor, nInstr)
 	for k := range instructors {
-		instructors[k] = catalog.Instructor{
-			Name: firstNames[r.intn(len(firstNames))] + " " + lastNames[r.intn(len(lastNames))],
-		}
+		f := r.intn(len(firstNames))
+		instructors[k] = catalog.Instructor{Name: vocab.names[f][r.intn(len(lastNames))]}
 	}
 
 	start := 8*60 + 30*r.intn(18) // 08:00 .. 16:30
@@ -389,38 +443,36 @@ func genCourse(r *rng, cse hetero.Case, j int) catalog.Course {
 	prereq := "None"
 	comment := "No prerequisite required."
 	if r.intn(2) == 1 && j > 0 {
-		prereq = fmt.Sprintf("CS%d", 100+r.intn(j))
-		comment = fmt.Sprintf("Prerequisite: %s required.", prereq)
+		prereq = numbered("CS", 100+r.intn(j))
+		comment = "Prerequisite: " + prereq + " required."
 	}
 
 	textbook := ""
 	if r.intn(3) > 0 {
-		textbook = "Foundations of " + subjects[si].en
+		textbook = vocab.textbooks[si]
 	}
 	if cse == hetero.Nulls {
 		// Both null flavors must exist for the heterogeneity to be
 		// observable: the planted course has a textbook, its neighbor
 		// provably lacks one.
 		if j == 0 {
-			textbook = "Foundations of " + subjects[si].en
+			textbook = vocab.textbooks[si]
 		}
 		if j == 1 {
 			textbook = ""
 		}
 	}
 
-	restricts := []string{"JR or SR", "SR", "FR, SO", "GR", "JR"}
-
 	return catalog.Course{
-		Number:      num,
-		Title:       titlePrefixes[pi].en + subjects[si].en,
-		TitleURL:    "http://courses.example.edu/" + num,
-		GermanTitle: titlePrefixes[pi].de + subjects[si].de,
+		Number:      url[len(courseURL):], // "CS123", sharing the link's bytes
+		Title:       vocab.titles[pi][si],
+		TitleURL:    url,
+		GermanTitle: vocab.germanTitles[pi][si],
 		Instructors: instructors,
 		Days:        dayPool[r.intn(len(dayPool))],
 		Start:       start,
 		End:         start + dur,
-		Room:        fmt.Sprintf("%s %d", buildings[r.intn(len(buildings))], 100+r.intn(300)),
+		Room:        numbered(buildings[r.intn(len(buildings))], 100+r.intn(300)),
 		Credits:     credits,
 		Prereq:      prereq,
 		Textbook:    textbook,

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"regexp"
+	"strconv"
 	"strings"
 
 	"thalia/internal/hetero"
@@ -49,8 +50,7 @@ func (m *Mediator) Answer(req integration.Request) (*integration.Answer, error) 
 	if err != nil {
 		return nil, err
 	}
-	spec := m.sc.Spec(i)
-	doc := m.docs.Acquire(i)
+	doc, spec := m.docs.Acquire(i)
 	defer m.docs.Release(i)
 	els, err := evalToElements(spec.ChallengeXQuery, spec.Source, doc)
 	if err != nil {
@@ -64,8 +64,8 @@ func (m *Mediator) Answer(req integration.Request) (*integration.Answer, error) 
 		}
 		rows = append(rows, rs...)
 	}
-	eff, fns := effortFor(spec.Case)
-	return &integration.Answer{Rows: rows, Effort: eff, Functions: fns}, nil
+	charge := charges[spec.Case]
+	return &integration.Answer{Rows: rows, Effort: charge.effort, Functions: charge.fns}, nil
 }
 
 // termRE decomposes a semester-as-column-name element ("Fall2003").
@@ -76,19 +76,13 @@ var termRE = regexp.MustCompile(`^(Fall|Winter|Spring|Summer)(\d{4})$`)
 func chalExtract(spec QuerySpec, el *xmldom.Element) ([]integration.Row, error) {
 	var rows []integration.Row
 	course := el.ChildText("number")
-	add := func(extra integration.Row) {
-		r := integration.Row{"source": spec.Source, "course": course}
-		for k, v := range extra {
-			r[k] = v
-		}
-		rows = append(rows, r)
-	}
+	add := func(kv ...string) { rows = append(rows, newRow(spec.Source, course, kv...)) }
 	title := el.ChildText("title")
 	switch spec.Case {
 	case hetero.Synonyms:
 		for _, in := range el.ChildrenNamed("lecturer") {
 			if in.Text() == spec.Instructor {
-				add(integration.Row{"instructor": in.Text()})
+				add("instructor", in.Text())
 			}
 		}
 	case hetero.SimpleMapping:
@@ -96,44 +90,44 @@ func chalExtract(spec QuerySpec, el *xmldom.Element) ([]integration.Row, error) 
 		if err != nil {
 			return nil, fmt.Errorf("scenario: mediator %s: %w", spec.Source, err)
 		}
-		add(integration.Row{"title": title, "time": start.String() + "-" + end.String()})
+		add("title", title, "time", start.String()+"-"+end.String())
 	case hetero.UnionTypes:
-		add(integration.Row{"title": title})
+		add("title", title)
 	case hetero.ComplexMappings:
 		u, err := mapping.ParseUmfang(el.ChildText("umfang"))
 		if err != nil {
 			return nil, fmt.Errorf("scenario: mediator %s: %w", spec.Source, err)
 		}
 		if u.CreditHours() > spec.Credits {
-			add(integration.Row{"title": title, "credits": fmt.Sprintf("%d", u.CreditHours())})
+			add("title", title, "credits", strconv.Itoa(u.CreditHours()))
 		}
 	case hetero.LanguageExpression:
 		course = el.ChildText("Nummer")
 		gt := el.ChildText("Titel")
 		if germanLex.ValueContains(gt, spec.Subject) {
-			add(integration.Row{"title": gt})
+			add("title", gt)
 		}
 	case hetero.Nulls:
 		tb := mapping.Missing().Marker()
 		if t := el.Child("textbook"); t != nil && strings.TrimSpace(t.Text()) != "" {
 			tb = mapping.Present(t.Text()).Marker()
 		}
-		add(integration.Row{"title": title, "textbook": tb})
+		add("title", title, "textbook", tb)
 	case hetero.VirtualColumns:
 		if mapping.InferEntryLevel("", el.ChildText("comment")) {
-			add(integration.Row{"title": title})
+			add("title", title)
 		}
 	case hetero.SemanticIncompatibility:
-		add(integration.Row{"title": title, "restriction": mapping.Inapplicable().Marker()})
+		add("title", title, "restriction", mapping.Inapplicable().Marker())
 	case hetero.SameAttributeDifferentStructure:
 		room := ""
 		if sec := el.Child("section"); sec != nil {
 			room = sec.ChildText("room")
 		}
-		add(integration.Row{"title": title, "room": room})
+		add("title", title, "room", room)
 	case hetero.HandlingSets:
 		for _, name := range strings.Split(el.ChildText("instructors"), "; ") {
-			add(integration.Row{"title": title, "instructor": name})
+			add("title", title, "instructor", name)
 		}
 	case hetero.AttributeNameDoesNotDefineSemantics:
 		for _, ch := range el.ChildElements() {
@@ -141,7 +135,7 @@ func chalExtract(spec QuerySpec, el *xmldom.Element) ([]integration.Row, error) 
 			if m == nil {
 				continue
 			}
-			add(integration.Row{"title": title, "instructor": ch.Text(), "semester": m[1] + " " + m[2]})
+			add("title", title, "instructor", ch.Text(), "semester", m[1]+" "+m[2])
 		}
 	case hetero.AttributeComposition:
 		t, day, tm, err := decomposeListing(el.ChildText("listing"))
@@ -149,7 +143,7 @@ func chalExtract(spec QuerySpec, el *xmldom.Element) ([]integration.Row, error) 
 			return nil, fmt.Errorf("scenario: mediator %s: %w", spec.Source, err)
 		}
 		title = t
-		add(integration.Row{"title": t, "day": day, "time": tm})
+		add("title", t, "day", day, "time", tm)
 	}
 	return rows, nil
 }
@@ -168,6 +162,19 @@ func decomposeListing(v string) (title, day, tm string, err error) {
 	}
 	return title, parts[0], parts[1], nil
 }
+
+// charges holds effortFor for every case, so answers share one function
+// list per family (nothing downstream modifies it) instead of allocating
+// one per cell.
+var charges = func() (t [len(familyFields)]struct {
+	effort integration.Effort
+	fns    []integration.FunctionUse
+}) {
+	for _, c := range hetero.AllCases() {
+		t[c].effort, t[c].fns = effortFor(c)
+	}
+	return t
+}()
 
 // effortFor charges each family the integration effort its dialect costs
 // the mediator, mirroring how the paper grades the canonical systems:
