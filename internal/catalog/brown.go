@@ -6,6 +6,7 @@ import (
 
 	"thalia/internal/hetero"
 	"thalia/internal/tess"
+	"thalia/internal/xmldom"
 )
 
 // Brown University (Figure 1): a simple HTML table whose Instructor column
@@ -240,7 +241,4 @@ func brownWrapper() *tess.Config {
 }
 
 // xmlEscape escapes text for embedding in the rendered HTML pages.
-func xmlEscape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+func xmlEscape(s string) string { return xmldom.EscapeText(s) }

@@ -1,8 +1,9 @@
-// Package catalog is the THALIA testbed: a collection of 25 university
-// course-catalog sources. The paper's testbed serves cached snapshots of
-// real course-catalog web pages, each extracted to XML by a source-specific
-// TESS wrapper; this package generates equivalent snapshots synthetically
-// and deterministically, embedding exactly the syntactic and semantic
+// Package catalog is the THALIA testbed: a collection of 35 university
+// course-catalog sources (the paper's testbed started with 25). The
+// paper's testbed serves cached snapshots of real course-catalog web
+// pages, each extracted to XML by a source-specific TESS wrapper; this
+// package generates equivalent snapshots synthetically and
+// deterministically, embedding exactly the syntactic and semantic
 // heterogeneities the paper attributes to each source (its sample elements
 // are reproduced verbatim).
 //
@@ -205,8 +206,9 @@ func (s *Source) materialize() error {
 }
 
 // MaterializeAll warms the whole testbed concurrently: every source's
-// render→extract→infer pipeline runs at most once (the sync.Once cache),
-// fanned out over up to `workers` goroutines (≤0 means one per source).
+// render→extract→infer pipeline succeeds at most once (materialize caches
+// the result under the source's mutex), fanned out over up to `workers`
+// goroutines (≤0 means one per source).
 // Useful before a concurrent benchmark run so the first wave of query cells
 // doesn't serialize on cold sources. Returns the first materialization
 // error encountered, if any; the remaining sources are still warmed.

@@ -144,6 +144,9 @@ func histLess(a, b HistogramSnapshot) bool {
 	return labelSig(a.Labels) < labelSig(b.Labels)
 }
 
+// labelEscaper escapes a label value for the Prometheus text format.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // promLabels renders {k="v",...} (empty string for no labels), with an
 // optional extra le label appended for histogram buckets.
 func promLabels(labels []Label, extra ...Label) string {
@@ -153,7 +156,7 @@ func promLabels(labels []Label, extra ...Label) string {
 	}
 	parts := make([]string, len(all))
 	for i, l := range all {
-		parts[i] = l.Key + `="` + strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace(l.Value) + `"`
+		parts[i] = l.Key + `="` + labelEscaper.Replace(l.Value) + `"`
 	}
 	return "{" + strings.Join(parts, ",") + "}"
 }

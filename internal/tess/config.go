@@ -20,7 +20,10 @@ package tess
 import (
 	"fmt"
 	"regexp"
+	"regexp/syntax"
 	"strconv"
+	"strings"
+	"unicode/utf8"
 
 	"thalia/internal/xmldom"
 )
@@ -93,7 +96,7 @@ type AttrRule struct {
 	Begin string
 	End   string
 
-	begin, end *regexp.Regexp
+	begin, end marker
 }
 
 // Rule describes one field to extract. The field's region starts after the
@@ -127,7 +130,7 @@ type Rule struct {
 	// Attrs extract attributes of the emitted element from the region.
 	Attrs []*AttrRule
 
-	begin, end *regexp.Regexp
+	begin, end marker
 }
 
 // Config is a complete wrapper configuration for one source.
@@ -159,17 +162,17 @@ func (r *Rule) compile() error {
 		return fmt.Errorf("tess: rule missing name")
 	}
 	var err error
-	if r.begin, err = regexp.Compile(r.Begin); err != nil {
+	if r.begin, err = compileMarker(r.Begin); err != nil {
 		return fmt.Errorf("tess: rule %s: begin: %w", r.Name, err)
 	}
-	if r.end, err = regexp.Compile(r.End); err != nil {
+	if r.end, err = compileMarker(r.End); err != nil {
 		return fmt.Errorf("tess: rule %s: end: %w", r.Name, err)
 	}
 	for _, a := range r.Attrs {
-		if a.begin, err = regexp.Compile(a.Begin); err != nil {
+		if a.begin, err = compileMarker(a.Begin); err != nil {
 			return fmt.Errorf("tess: rule %s: attr %s begin: %w", r.Name, a.Name, err)
 		}
-		if a.end, err = regexp.Compile(a.End); err != nil {
+		if a.end, err = compileMarker(a.End); err != nil {
 			return fmt.Errorf("tess: rule %s: attr %s end: %w", r.Name, a.Name, err)
 		}
 	}
@@ -179,6 +182,63 @@ func (r *Rule) compile() error {
 		}
 	}
 	return nil
+}
+
+// marker finds a Begin, End or attribute delimiter in a region. A pattern
+// that regexp/syntax parses to a case-sensitive literal, as every marker in
+// the built-in wrappers is, or to the empty match is found with
+// strings.Index, which returns the same match as regexp's leftmost-first
+// search without compiling a program; any other pattern is a regexp.
+type marker struct {
+	lit string
+	re  *regexp.Regexp // nil when lit is the pattern's text
+}
+
+func compileMarker(pattern string) (marker, error) {
+	if lit, ok := literal(pattern); ok {
+		return marker{lit: lit}, nil
+	}
+	re, err := regexp.Compile(pattern)
+	return marker{re: re}, err
+}
+
+// literal returns the text a pattern matches exactly, if it is a literal.
+// A literal holding U+FFFD is not one: regexp matches that character
+// against each byte of invalid UTF-8, where strings.Index does not. Nor is
+// one holding a rune UTF-8 cannot encode, which regexp never matches.
+func literal(pattern string) (string, bool) {
+	re, err := syntax.Parse(pattern, syntax.Perl)
+	if err != nil {
+		return "", false
+	}
+	switch {
+	case re.Op == syntax.OpEmptyMatch:
+		return "", true
+	case re.Op == syntax.OpLiteral && re.Flags&syntax.FoldCase == 0:
+		for _, r := range re.Rune {
+			if r == utf8.RuneError || !utf8.ValidRune(r) {
+				return "", false
+			}
+		}
+		return string(re.Rune), true
+	}
+	return "", false
+}
+
+// find returns the bounds of the leftmost match in s.
+func (m marker) find(s string) (start, end int, ok bool) {
+	if m.re != nil {
+		loc := m.re.FindStringIndex(s)
+		if loc == nil {
+			return 0, 0, false
+		}
+		return loc[0], loc[1], true
+	}
+	i := strings.Index(s, m.lit)
+	if i < 0 {
+		return 0, 0, false
+	}
+	return i, i + len(m.lit), true
 }
 
 // MarshalConfig renders the configuration in its XML file format.

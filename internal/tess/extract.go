@@ -97,23 +97,23 @@ func (ex *extractor) applyRules(rules []*Rule, region string, parent *xmldom.Ele
 func (ex *extractor) applyRule(r *Rule, region string, pos int, parent *xmldom.Element, spans *[]span) (int, error) {
 	found := false
 	for {
-		loc := r.begin.FindStringIndex(region[pos:])
-		if loc == nil {
+		bStart, bEnd, ok := r.begin.find(region[pos:])
+		if !ok {
 			break
 		}
-		beginStart, beginEnd := pos+loc[0], pos+loc[1]
-		endLoc := r.end.FindStringIndex(region[beginEnd:])
-		if endLoc == nil {
+		beginStart, beginEnd := pos+bStart, pos+bEnd
+		eStart, eEnd, ok := r.end.find(region[beginEnd:])
+		if !ok {
 			if found || r.Optional {
 				break
 			}
 			return pos, &FieldError{Rule: r.Name, Which: "end", Around: snippet(region[beginEnd:])}
 		}
-		body := region[beginEnd : beginEnd+endLoc[0]]
+		body := region[beginEnd : beginEnd+eStart]
 		// The full region (including the begin marker) is what attribute
 		// rules scan: attributes often live inside the opening tag that
 		// the begin expression matched.
-		full := region[beginStart : beginEnd+endLoc[0]]
+		full := region[beginStart : beginEnd+eStart]
 		el, err := ex.emit(r, body, full)
 		if err != nil {
 			return pos, err
@@ -122,10 +122,10 @@ func (ex *extractor) applyRule(r *Rule, region string, pos int, parent *xmldom.E
 			parent.Append(el)
 		}
 		if spans != nil {
-			*spans = append(*spans, span{start: beginStart, end: beginEnd + endLoc[1]})
+			*spans = append(*spans, span{start: beginStart, end: beginEnd + eEnd})
 		}
 		found = true
-		next := beginEnd + endLoc[1]
+		next := beginEnd + eEnd
 		if next <= pos {
 			// Both markers matched empty strings: the scan is not
 			// advancing, so a repeating rule would loop forever.
@@ -147,16 +147,16 @@ func (ex *extractor) applyRule(r *Rule, region string, pos int, parent *xmldom.E
 func (ex *extractor) emit(r *Rule, body, full string) (*xmldom.Element, error) {
 	el := xmldom.NewElement(r.Name)
 	for _, a := range r.Attrs {
-		loc := a.begin.FindStringIndex(full)
-		if loc == nil {
+		_, bEnd, ok := a.begin.find(full)
+		if !ok {
 			continue
 		}
-		after := full[loc[1]:]
-		endLoc := a.end.FindStringIndex(after)
-		if endLoc == nil {
+		after := full[bEnd:]
+		eStart, _, ok := a.end.find(after)
+		if !ok {
 			continue
 		}
-		el.SetAttr(a.Name, StripTags(after[:endLoc[0]]))
+		el.SetAttr(a.Name, StripTags(after[:eStart]))
 	}
 	if r.Mode == ModeDeep {
 		return ex.emitDeep(r, el, body)

@@ -1,6 +1,10 @@
 package tess
 
-import "testing"
+import (
+	"regexp"
+	"strings"
+	"testing"
+)
 
 // FuzzParseConfig drives the wrapper-config reader with arbitrary input.
 // The contract under test: ParseConfig never panics — malformed configs
@@ -35,6 +39,57 @@ func FuzzParseConfig(f *testing.F) {
 		}
 		if out2 := MarshalConfig(c2); out2 != out {
 			t.Fatalf("marshal is not canonical\nfirst:  %q\nsecond: %q", out, out2)
+		}
+	})
+}
+
+// StripTags' reference: the regular-expression pipeline its scanner
+// replaced, one pass per step in the order StripTags documents.
+var (
+	oracleBR    = regexp.MustCompile(`(?i)<br\s*/?>`)
+	oracleTag   = regexp.MustCompile(`(?s)<[^>]*>`)
+	oracleSpace = regexp.MustCompile(`\s+`)
+)
+
+func stripTagsOracle(s string) string {
+	s = oracleBR.ReplaceAllString(s, " ")
+	s = oracleTag.ReplaceAllString(s, "")
+	s = decodeEntities(s)
+	return strings.TrimSpace(oracleSpace.ReplaceAllString(s, " "))
+}
+
+// FuzzStripTags checks the one-pass StripTags against the regular-expression
+// pipeline on arbitrary input, invalid UTF-8 included. Its seeds, in
+// testdata/fuzz/FuzzStripTags, hold a <br> inside a tag, unterminated tags,
+// every <br> spelling, runs of &nbsp;, \v, and entities split by a tag.
+func FuzzStripTags(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := StripTags(s), stripTagsOracle(s); got != want {
+			t.Fatalf("StripTags(%q) = %q, want %q", s, got, want)
+		}
+	})
+}
+
+// FuzzMarker checks that the matcher compileMarker picks, literal or
+// regexp, finds what regexp.FindStringIndex finds, and that it rejects
+// exactly the patterns regexp.Compile rejects. Its seeds, in
+// testdata/fuzz/FuzzMarker, hold escaped, quoted, case-folded, empty,
+// U+FFFD, surrogate and invalid patterns.
+func FuzzMarker(f *testing.F) {
+	f.Fuzz(func(t *testing.T, pattern, text string) {
+		m, err := compileMarker(pattern)
+		re, reErr := regexp.Compile(pattern)
+		if (err == nil) != (reErr == nil) {
+			t.Fatalf("pattern %q: compileMarker error %v, regexp.Compile error %v", pattern, err, reErr)
+		}
+		if reErr != nil {
+			return
+		}
+		start, end, ok := m.find(text)
+		loc := re.FindStringIndex(text)
+		if ok != (loc != nil) || ok && (start != loc[0] || end != loc[1]) {
+			t.Fatalf("pattern %q (literal %v) in %q: found %d, %d, %v; regexp finds %v",
+				pattern, m.re == nil, text, start, end, ok, loc)
 		}
 	})
 }

@@ -306,6 +306,19 @@ func TestStripTags(t *testing.T) {
 	}
 }
 
+// StripTags decodes an entity when its ';' arrives, looking back at most
+// maxEntityLen bytes for the '&' that starts it; that holds only for
+// entities of this shape.
+func TestEntityTableShape(t *testing.T) {
+	for i := 0; i < len(entities); i += 2 {
+		e := entities[i]
+		if len(e) > maxEntityLen || e[0] != '&' || e[len(e)-1] != ';' ||
+			strings.Count(e, "&") != 1 || strings.ContainsAny(e, " \t\n\f\r") {
+			t.Errorf("entity %q does not fit StripTags' decoder", e)
+		}
+	}
+}
+
 func TestFirstLink(t *testing.T) {
 	if got := FirstLink(`<a href="http://x/y">t</a> <a href="http://z">u</a>`); got != "http://x/y" {
 		t.Errorf("FirstLink = %q", got)

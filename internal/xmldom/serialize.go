@@ -1,22 +1,20 @@
 package xmldom
 
 import (
-	"fmt"
 	"io"
 	"strings"
 )
 
+var (
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+)
+
 // EscapeText escapes character data for inclusion in XML content.
-func EscapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+func EscapeText(s string) string { return textEscaper.Replace(s) }
 
 // EscapeAttr escapes a value for inclusion in a double-quoted attribute.
-func EscapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+func EscapeAttr(s string) string { return attrEscaper.Replace(s) }
 
 // WriteOptions control document serialization.
 type WriteOptions struct {
@@ -69,16 +67,35 @@ func (s *stickyWriter) writeString(str string) {
 	_, s.err = io.WriteString(s.w, str)
 }
 
-func writeElement(w *stickyWriter, e *Element, indent string, depth int) {
-	pad := ""
-	if indent != "" {
-		pad = strings.Repeat(indent, depth)
+// writeEscaped writes str through the escaper r, without building the
+// escaped copy.
+func (s *stickyWriter) writeEscaped(r *strings.Replacer, str string) {
+	if s.err != nil {
+		return
 	}
-	w.writeString(pad)
+	_, s.err = r.WriteString(s.w, str)
+}
+
+// writePad writes depth copies of indent.
+func (s *stickyWriter) writePad(indent string, depth int) {
+	if indent == "" {
+		return
+	}
+	for i := 0; i < depth; i++ {
+		s.writeString(indent)
+	}
+}
+
+func writeElement(w *stickyWriter, e *Element, indent string, depth int) {
+	w.writePad(indent, depth)
 	w.writeString("<")
 	w.writeString(e.Name)
 	for _, a := range e.Attrs {
-		w.writeString(fmt.Sprintf(" %s=\"%s\"", a.Name, EscapeAttr(a.Value)))
+		w.writeString(" ")
+		w.writeString(a.Name)
+		w.writeString(`="`)
+		w.writeEscaped(attrEscaper, a.Value)
+		w.writeString(`"`)
 	}
 	if len(e.Children) == 0 {
 		w.writeString("/>")
@@ -90,7 +107,7 @@ func writeElement(w *stickyWriter, e *Element, indent string, depth int) {
 		w.writeString(">")
 		for _, c := range e.Children {
 			if t, ok := c.(*Text); ok {
-				w.writeString(EscapeText(t.Data))
+				w.writeEscaped(textEscaper, t.Data)
 			}
 		}
 		w.writeString("</")
@@ -107,14 +124,10 @@ func writeElement(w *stickyWriter, e *Element, indent string, depth int) {
 		case *Element:
 			writeElement(w, n, indent, depth+1)
 		case *Text:
-			if indent != "" {
-				w.writeString(strings.Repeat(indent, depth+1))
-			}
-			w.writeString(EscapeText(strings.TrimSpace(n.Data)))
+			w.writePad(indent, depth+1)
+			w.writeEscaped(textEscaper, strings.TrimSpace(n.Data))
 		case *Comment:
-			if indent != "" {
-				w.writeString(strings.Repeat(indent, depth+1))
-			}
+			w.writePad(indent, depth+1)
 			w.writeString("<!--")
 			w.writeString(n.Data)
 			w.writeString("-->")
@@ -122,7 +135,7 @@ func writeElement(w *stickyWriter, e *Element, indent string, depth int) {
 	}
 	if indent != "" {
 		w.writeString("\n")
-		w.writeString(pad)
+		w.writePad(indent, depth)
 	}
 	w.writeString("</")
 	w.writeString(e.Name)

@@ -2,7 +2,6 @@ package xsd
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"thalia/internal/xmldom"
@@ -113,14 +112,15 @@ func checkSimple(t Type, v string) string {
 		if v == "" {
 			return ""
 		}
-		if _, err := strconv.ParseInt(v, 10, 64); err != nil {
+		if nt, ok := numericType(v); !ok || nt != TypeInteger {
 			return fmt.Sprintf("value %q is not an integer", v)
 		}
 	case TypeDecimal:
 		if v == "" {
 			return ""
 		}
-		if _, err := strconv.ParseFloat(v, 64); err != nil {
+		// Every xs:integer is also an xs:decimal.
+		if _, ok := numericType(v); !ok {
 			return fmt.Sprintf("value %q is not a decimal", v)
 		}
 	case TypeAnyURI:

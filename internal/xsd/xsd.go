@@ -12,7 +12,6 @@ package xsd
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"thalia/internal/xmldom"
@@ -170,13 +169,41 @@ func InferValueType(v string) Type {
 	if strings.HasPrefix(v, "http://") || strings.HasPrefix(v, "https://") {
 		return TypeAnyURI
 	}
-	if _, err := strconv.ParseInt(v, 10, 64); err == nil {
-		return TypeInteger
-	}
-	if _, err := strconv.ParseFloat(v, 64); err == nil {
-		return TypeDecimal
+	if t, ok := numericType(v); ok {
+		return t
 	}
 	return TypeString
+}
+
+// numericType reports whether v is in the lexical space of xs:integer,
+// [+-]?\d+, or else of xs:decimal, [+-]?(\d+(\.\d*)?|\.\d+). Both types
+// are unbounded, and neither admits an exponent, NaN, infinity, a hex
+// float or a digit separator.
+func numericType(v string) (Type, bool) {
+	i := 0
+	if i < len(v) && (v[i] == '+' || v[i] == '-') {
+		i++
+	}
+	intDigits := digits(v[i:])
+	i += intDigits
+	if i == len(v) {
+		return TypeInteger, intDigits > 0
+	}
+	if v[i] != '.' {
+		return TypeString, false
+	}
+	i++
+	fracDigits := digits(v[i:])
+	return TypeDecimal, i+fracDigits == len(v) && intDigits+fracDigits > 0
+}
+
+// digits returns the length of the run of ASCII digits that starts s.
+func digits(s string) int {
+	n := 0
+	for n < len(s) && '0' <= s[n] && s[n] <= '9' {
+		n++
+	}
+	return n
 }
 
 // widen returns the least general type covering both a and b.

@@ -272,6 +272,51 @@ func TestInferValueType(t *testing.T) {
 	}
 }
 
+// The numeric types follow XML Schema's lexical spaces, not Go's number
+// syntax: no exponent, NaN, infinity, hex float or digit separator, and no
+// 64-bit bound on xs:integer. Inference and validation agree on each value.
+func TestNumericLexicalSpaces(t *testing.T) {
+	for _, tc := range []struct {
+		v    string
+		want Type
+	}{
+		{"0", TypeInteger},
+		{"+5", TypeInteger},
+		{"-007", TypeInteger},
+		{" 42 ", TypeInteger},
+		{"12345678901234567890", TypeInteger},
+		{"-98765432109876543210123", TypeInteger},
+		{"1.", TypeDecimal},
+		{".5", TypeDecimal},
+		{"-.5", TypeDecimal},
+		{"+3.14", TypeDecimal},
+		{"NaN", TypeString},
+		{"Inf", TypeString},
+		{"-infinity", TypeString},
+		{"1e5", TypeString},
+		{"0x1p3", TypeString},
+		{"1_000", TypeString},
+		{".", TypeString},
+		{"+", TypeString},
+		{"-.", TypeString},
+		{"1.2.3", TypeString},
+		{"1 000", TypeString},
+		{"\u0663", TypeString}, // ARABIC-INDIC DIGIT THREE
+	} {
+		if got := InferValueType(tc.v); got != tc.want {
+			t.Errorf("InferValueType(%q) = %v, want %v", tc.v, got, tc.want)
+		}
+		for _, typ := range []Type{TypeInteger, TypeDecimal} {
+			s := &Schema{Source: "x", Root: &ElementDecl{Name: "x", Type: typ, MinOccurs: 1, MaxOccurs: 1}}
+			valid := s.Valid(xmldom.NewDocument(xmldom.NewElement("x").AppendText(tc.v)))
+			want := tc.want == typ || (typ == TypeDecimal && tc.want == TypeInteger)
+			if valid != want {
+				t.Errorf("%q as %v: valid = %v, want %v", tc.v, typ, valid, want)
+			}
+		}
+	}
+}
+
 // Property: a schema inferred from any random document validates that
 // document — inference is sound by construction.
 func TestQuickInferredSchemaValidatesSource(t *testing.T) {
