@@ -75,6 +75,7 @@ import (
 	"thalia/internal/ufmw"
 	"thalia/internal/website"
 	"thalia/internal/xquery"
+	"thalia/internal/xquery/plan"
 )
 
 func main() {
@@ -429,9 +430,8 @@ func serverCmd(args []string, out io.Writer) error {
 // planCmd reports per-query compiled-plan vs reference-interpreter timings
 // over the benchmark queries, evaluated against the extracted catalogs. The
 // compiled plan is the default execution path, so its result is the ground
-// truth here too: each query is compiled through a runner-style PrepCache
-// plan cache and re-evaluated -runs times — the reuse pattern a real run
-// gives — and the interpreter (the -engine=interp escape hatch) is checked
+// truth here too: each query is compiled once and re-evaluated -runs
+// times, and the interpreter (the -engine=interp escape hatch) is checked
 // against the plan's answer before timing, so the report cannot quietly
 // compare different answers.
 func planCmd(args []string, out io.Writer) error {
@@ -444,7 +444,6 @@ func planCmd(args []string, out io.Writer) error {
 		*runs = 1
 	}
 	resolve := catalog.Resolver()
-	prep := benchmark.NewPrepCache()
 	fmt.Fprintf(out, "%-5s %14s %14s %8s\n", "query", "interp ns/op", "plan ns/op", "ratio")
 	var totalI, totalP int64
 	for _, q := range benchmark.Queries() {
@@ -452,7 +451,7 @@ func planCmd(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("q%02d: parse: %w", q.ID, err)
 		}
-		p, err := prep.Plans.Get(q.XQuery)
+		p, err := plan.CompileQuery(q.XQuery)
 		if err != nil {
 			return fmt.Errorf("q%02d: compile: %w", q.ID, err)
 		}

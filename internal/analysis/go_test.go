@@ -193,6 +193,44 @@ func TestGoAnalyzersRepoClean(t *testing.T) {
 	}
 }
 
+// at points a vocabulary row at other packages, so the analyzer tests can
+// run it against fixture modules.
+func (v vocabulary) at(decl, consumer string) vocabulary {
+	v.decl, v.consumer = decl, consumer
+	return v
+}
+
+// TestGoCheckTable pins the Go head's check table: the names in order, and
+// the Doc of each kind-coverage row. Finding IDs hash the check name and
+// SARIF rules carry the Doc, so a dropped or renamed row would orphan
+// vet.baseline.json entries and SARIF rules without failing anything else.
+func TestGoCheckTable(t *testing.T) {
+	var names []string
+	docs := map[string]string{}
+	for _, a := range DefaultGoAnalyzers() {
+		names = append(names, a.Name)
+		docs[a.Name] = a.Doc
+	}
+	want := []string{
+		"determinism", "panicpath", "errcheck", "explainkinds", "faultkinds",
+		"plancoverage", "scenariocoverage", "ctxflow", "lockdiscipline",
+		"goleak", "mapflow", "telemetrycontract",
+	}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Errorf("checks = %v, want %v", names, want)
+	}
+	for check, doc := range map[string]string{
+		"explainkinds":     "every explain.Kind constant is emitted by at least one instrumentation site",
+		"faultkinds":       "every faultline.Kind has an injection dispatch site and a test exercising it",
+		"plancoverage":     "every xquery Expr node kind has a compile case in the plan package and a test exercising it",
+		"scenariocoverage": "every hetero.Case has a transform dispatch site in the scenario generator and a test exercising it",
+	} {
+		if docs[check] != doc {
+			t.Errorf("%s doc = %q, want %q", check, docs[check], doc)
+		}
+	}
+}
+
 // TestExplainKindsDetectsDeadVocabulary proves the analyzer can actually
 // fail: with only the explain package in scope there are no instrumentation
 // sites, so every Kind constant must be reported as unemitted. The count
@@ -208,7 +246,7 @@ func TestExplainKindsDetectsDeadVocabulary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := ExplainKinds().Run(pkgs)
+	findings := explainKinds.analyzer().Run(pkgs)
 	const wantKinds = 19
 	if len(findings) != wantKinds {
 		t.Errorf("got %d findings, want %d (one per Kind constant)", len(findings), wantKinds)
@@ -278,7 +316,7 @@ func TestApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := faultKindsFor("fixture/chaos").Run(pkgs)
+	findings := faultKinds.at("fixture/chaos", "fixture/chaos").analyzer().Run(pkgs)
 	want := []string{
 		"faultline.KindNoSwitch has no injection dispatch site",
 		"faultline.KindNoTest is exercised by no test",
@@ -308,7 +346,7 @@ func TestApply(t *testing.T) {
 // test names it, DropExpr has no compile case at all.
 func TestPlanCoverageDetectsUnloweredKinds(t *testing.T) {
 	pkgs := loadVetmod(t)
-	findings := planCoverageFor("vetmod/qast", "vetmod/qplan").Run(pkgs)
+	findings := planCoverage.at("vetmod/qast", "vetmod/qplan").analyzer().Run(pkgs)
 	checkFindings(t, findings, "plancoverage", []string{
 		"xquery.AddExpr is exercised by no test in the plan package",
 		"xquery.DropExpr has no compile case in the plan package",
@@ -327,7 +365,7 @@ func TestPlanCoverageDetectsUnloweredKinds(t *testing.T) {
 // dispatched but no fixture test names it.
 func TestScenarioCoverageDetectsUndispatchedClasses(t *testing.T) {
 	pkgs := loadVetmod(t)
-	findings := scenarioCoverageFor("vetmod/hcase", "vetmod/sgen").Run(pkgs)
+	findings := scenarioCoverage.at("vetmod/hcase", "vetmod/sgen").analyzer().Run(pkgs)
 	checkFindings(t, findings, "scenariocoverage", []string{
 		"hetero.CaseNoSwitch has no transform dispatch site in the scenario generator",
 		"hetero.CaseNoTest is exercised by no test in the scenario package",

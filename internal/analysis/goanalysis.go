@@ -24,12 +24,13 @@ type GoAnalyzer struct {
 }
 
 // DefaultGoAnalyzers returns the Go head's standard analyzer set: the
-// syntactic v1 analyzers plus the v2 dataflow set.
+// syntactic v1 analyzers, one check per kind-coverage vocabulary row, and
+// the v2 dataflow set.
 func DefaultGoAnalyzers() []*GoAnalyzer {
 	return []*GoAnalyzer{
-		Determinism(), PanicPath(), ErrCheck(), ExplainKinds(), FaultKinds(),
-		PlanCoverage(), ScenarioCoverage(), CtxFlow(), LockDiscipline(),
-		GoLeak(), MapFlow(), TelemetryContract(),
+		Determinism(), PanicPath(), ErrCheck(), explainKinds.analyzer(),
+		faultKinds.analyzer(), planCoverage.analyzer(), scenarioCoverage.analyzer(),
+		CtxFlow(), LockDiscipline(), GoLeak(), MapFlow(), TelemetryContract(),
 	}
 }
 

@@ -60,7 +60,9 @@ type Report struct {
 //   - "evaluate_all/seq": Concurrency 1 with no prep cache — the original
 //     recompute-per-cell seed path, kept as the comparison floor.
 //   - "evaluate_all/plan_cache": Concurrency 1 with the shared-prep cache
-//     attached, isolating what per-run preparation sharing alone buys.
+//     attached, isolating what computing each query's expected answer once
+//     per run buys. The row predates the cache's narrowing to expected
+//     answers and keeps its name so compare keys stay stable.
 //   - "evaluate_all/parN": a pool of N workers with the prep cache, one row
 //     per requested pool size.
 //
@@ -142,8 +144,8 @@ const xqueryPassesPerRun = 40
 //   - "xquery_eval/interp": the reference interpreter, re-parsing per
 //     evaluation — the pre-flip seed path.
 //   - "xquery_eval/plan": the compiled-plan engine behind a plan.Cache —
-//     the default execution path a real run exercises through the
-//     runner's PrepCache.
+//     the default execution path, which compiles through the process-wide
+//     plan cache.
 //
 // Their ratio is the Report's XQuerySpeedup, the engine-flip gate.
 func measureXQueryEngines(runs int) ([]Timing, error) {

@@ -169,7 +169,7 @@ func (r *Runner) EvaluateAllContext(ctx context.Context, systems ...integration.
 					}
 					cards[c.sys].Results[c.query] = res
 					if tel != nil {
-						r.recordCell(sysName, queryID, res, elapsed)
+						r.recordCell(sysName, r.Queries[c.query], res, elapsed)
 					}
 					if jr != nil {
 						jr.CellDone(cellEvent(sysName, res, elapsed))

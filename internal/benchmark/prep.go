@@ -5,23 +5,14 @@ import (
 	"sync/atomic"
 
 	"thalia/internal/integration"
-	"thalia/internal/xquery/plan"
 )
 
-// PrepCache is the per-run shared-preparation cache: artifacts every cell of
-// an evaluation needs but that are identical across cells are built exactly
-// once and shared.
-//
-// Two artifact classes are cached:
-//
-//   - Expected answers. The ground-truth rows for a query are the same for
-//     every system, but the sequential seed path recomputed them per cell —
-//     12 queries × 4 systems = 48 generator walks per run. The cache
-//     computes each query's rows once; sharing is safe because
-//     integration.MatchRows reads its inputs without mutating them.
-//   - Compiled query plans. Plans holds a plan.Cache keyed by XQuery source
-//     text, so plan-based evaluation (the differential suite, the bench
-//     CLI's plan report) compiles each query once per run.
+// PrepCache is the per-run shared-preparation cache for expected answers.
+// The ground-truth rows for a query are the same for every system, but the
+// sequential seed path recomputed them per cell — 12 queries × 4 systems =
+// 48 generator walks per run. The cache computes each query's rows once;
+// sharing is safe because integration.MatchRows reads its inputs without
+// mutating them.
 //
 // Failed preparations are never cached (the errors-never-cached convention):
 // a transient failure is recomputed, not pinned.
@@ -29,9 +20,8 @@ import (
 // A PrepCache is safe for concurrent use by the runner's worker pool. It
 // only memoizes; scorecards are byte-identical with and without one.
 type PrepCache struct {
-	mu    sync.RWMutex
-	want  map[int][]integration.Row
-	Plans *plan.Cache
+	mu   sync.RWMutex
+	want map[int][]integration.Row
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -39,10 +29,7 @@ type PrepCache struct {
 
 // NewPrepCache returns an empty shared-prep cache.
 func NewPrepCache() *PrepCache {
-	return &PrepCache{
-		want:  make(map[int][]integration.Row),
-		Plans: plan.NewCache(),
-	}
+	return &PrepCache{want: make(map[int][]integration.Row)}
 }
 
 // Expected returns the query's expected integrated rows, computing them on

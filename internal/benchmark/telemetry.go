@@ -15,7 +15,10 @@ const (
 	// picking it up. No labels — it measures the pool, not the workload.
 	MetricQueueWait = "engine_queue_wait_seconds"
 	// MetricEvalLatency is the histogram of per-cell evaluation latency,
-	// labeled by system and query (q01..q12).
+	// labeled by system and by the query's heterogeneity class (q01..q12;
+	// paper query n exercises class n). A generated scenario numbers its
+	// queries 1..N, so labelling by class keeps the series count bounded
+	// at twelve per system whatever N is.
 	MetricEvalLatency = "engine_eval_seconds"
 	// MetricCells counts evaluated cells per system.
 	MetricCells = "engine_cells_total"
@@ -31,16 +34,17 @@ const (
 	MetricWorkers     = "engine_workers"
 )
 
-// QueryLabel renders a query ID the way engine metrics label it: q01..q12.
+// QueryLabel renders a heterogeneity class number the way engine metrics
+// label queries: q01..q12.
 func QueryLabel(id int) string { return fmt.Sprintf("q%02d", id) }
 
 // recordCell records one finished cell's telemetry. Called by the worker
 // loop only when r.Telemetry is non-nil.
-func (r *Runner) recordCell(system string, queryID int, res QueryResult, d time.Duration) {
+func (r *Runner) recordCell(system string, q *Query, res QueryResult, d time.Duration) {
 	tel := r.Telemetry
 	sys := telemetry.L("system", system)
 	tel.Counter(MetricCells, sys).Inc()
-	tel.Histogram(MetricEvalLatency, sys, telemetry.L("query", QueryLabel(queryID))).ObserveDuration(d)
+	tel.Histogram(MetricEvalLatency, sys, telemetry.L("query", QueryLabel(int(q.Case)))).ObserveDuration(d)
 	switch {
 	case res.Err == "":
 	case strings.Contains(res.Err, ErrQueryTimeout.Error()):

@@ -104,9 +104,6 @@ type System struct {
 	// buildFn is a test seam for the regression suite's fail-once builds;
 	// nil means BuildWarehouse.
 	buildFn func() (map[string]*xmldom.Element, error)
-	// cache memoizes successful answers by request identity; recorded
-	// (explain) calls and errors bypass it.
-	cache integration.AnswerCache
 }
 
 // New returns an IWIZ instance over the built-in testbed.
@@ -394,16 +391,9 @@ func collect(cs []*xmldom.Element, source string, keep func(*xmldom.Element) boo
 	return out
 }
 
-// Answer implements integration.System. Repeat un-recorded requests are
-// served from the system's answer cache; see integration.AnswerCache for the
-// invariants (errors and recorded traces always re-evaluate).
+// Answer implements integration.System: it computes the paper's projected
+// per-query behaviour, nine queries via the warehouse and three declined.
 func (s *System) Answer(req integration.Request) (*integration.Answer, error) {
-	return s.cache.Do(req, s.evaluate)
-}
-
-// evaluate computes the paper's projected per-query behaviour: nine queries
-// via the warehouse, three declined.
-func (s *System) evaluate(req integration.Request) (*integration.Answer, error) {
 	// The answer span opens before build() so a cold first call attributes
 	// the one-time warehouse materialization to this cell's trace.
 	rec := explain.FromContext(req.Context())

@@ -16,9 +16,6 @@ import (
 // parallel benchmark cells never interleave effort accounting.
 type System struct {
 	med *Mediator
-	// cache memoizes successful answers by request identity; recorded
-	// (explain) calls and errors bypass it.
-	cache integration.AnswerCache
 }
 
 // NewSystem returns the declarative-mediation system.
@@ -117,15 +114,9 @@ func benchmarkQueries() map[int]GlobalQuery {
 	}
 }
 
-// Answer implements integration.System. Repeat un-recorded requests are
-// served from the system's answer cache; see integration.AnswerCache for the
-// invariants (errors and recorded traces always re-evaluate).
+// Answer implements integration.System: it rewrites the benchmark query to
+// its global form and mediates it.
 func (s *System) Answer(req integration.Request) (*integration.Answer, error) {
-	return s.cache.Do(req, s.answer)
-}
-
-// answer rewrites the benchmark query to its global form and mediates it.
-func (s *System) answer(req integration.Request) (*integration.Answer, error) {
 	gq, ok := benchmarkQueries()[req.QueryID]
 	if !ok {
 		return nil, fmt.Errorf("rewrite: unknown benchmark query %d", req.QueryID)

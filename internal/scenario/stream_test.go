@@ -8,6 +8,7 @@ import (
 
 	"thalia/internal/benchmark"
 	"thalia/internal/faultline"
+	"thalia/internal/telemetry"
 )
 
 // streamHeapCeiling is the live-heap growth budget for the 5000-source
@@ -108,5 +109,44 @@ func TestScenarioChaosDegradesNeverAborts(t *testing.T) {
 	if renders[0] != renders[1] {
 		t.Errorf("same-seed chaos runs diverged\n--- run 1 ---\n%s\n--- run 2 ---\n%s",
 			renders[0], renders[1])
+	}
+}
+
+// TestEvalLatencySeriesBoundedByClass pins the cardinality of
+// engine_eval_seconds on generated workloads: cells are labelled by their
+// heterogeneity class, not by query number, so a scenario ten times larger
+// creates no new series — one per class present, at most twelve per system.
+func TestEvalLatencySeriesBoundedByClass(t *testing.T) {
+	series := func(sources int) (got, classes int) {
+		sc, err := New(Params{Sources: sources, Seed: 7, Size: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		present := map[int]bool{}
+		for i := 0; i < sources; i++ {
+			present[int(sc.Case(i))] = true
+		}
+		reg := telemetry.NewRegistry()
+		r := benchmark.NewStreamingRunner(sc.Queries())
+		r.Concurrency = 2
+		r.Telemetry = reg
+		if _, err := r.EvaluateAll(sc.NewMediator()); err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range reg.Snapshot().Histograms {
+			if h.Name == benchmark.MetricEvalLatency {
+				got++
+			}
+		}
+		return got, len(present)
+	}
+	small, smallClasses := series(24)
+	large, largeClasses := series(240)
+	if small != smallClasses || large != largeClasses {
+		t.Errorf("eval latency series = %d at N=24 and %d at N=240, want one per class present (%d and %d)",
+			small, large, smallClasses, largeClasses)
+	}
+	if small != large || large > 12 {
+		t.Errorf("eval latency series = %d at N=24 and %d at N=240, want equal and at most 12", small, large)
 	}
 }

@@ -1,23 +1,14 @@
 package website
 
-import (
-	"context"
-	"fmt"
-	"log"
-	"log/slog"
-	"strings"
-	"time"
-)
+import "log/slog"
 
 // The site logs through log/slog: every access-log record carries the
 // request ID, method, path, normalized route, status and duration as typed
 // attributes, and panic reports carry the recovered value. SetSlogger
 // plugs in any slog handler (cmd/thalia-server uses a text handler on
-// stderr); SetLogger keeps the historical *log.Logger interface alive as a
-// thin adapter that renders the same records back into the legacy
-// one-line format.
+// stderr).
 
-// logMsg* are the record messages the legacy adapter pattern-matches on.
+// logMsg* are the messages of access-log records and panic reports.
 const (
 	logMsgRequest = "request"
 	logMsgPanic   = "panic"
@@ -25,56 +16,3 @@ const (
 
 // SetSlogger directs the site's structured log to l.
 func (s *Site) SetSlogger(l *slog.Logger) { s.logger = l }
-
-// SetLogger directs the access log (and panic reports) to l in the legacy
-// line format — "rNNNNNNNN GET /path 200 1.2ms" and "rNNNNNNNN PANIC GET
-// /path: value" — via an adapter handler. New() discards the log;
-// cmd/thalia-server wires a structured handler to stderr instead.
-func (s *Site) SetLogger(l *log.Logger) {
-	s.logger = slog.New(&legacyHandler{out: l})
-}
-
-// legacyHandler renders slog records the way the site's *log.Logger-based
-// logger used to print them, so operators (and tests) that scrape the old
-// format keep working.
-type legacyHandler struct {
-	out   *log.Logger
-	attrs []slog.Attr
-}
-
-func (h *legacyHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h *legacyHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return &legacyHandler{out: h.out, attrs: append(append([]slog.Attr{}, h.attrs...), attrs...)}
-}
-
-func (h *legacyHandler) WithGroup(string) slog.Handler { return h }
-
-func (h *legacyHandler) Handle(_ context.Context, r slog.Record) error {
-	m := map[string]slog.Value{}
-	for _, a := range h.attrs {
-		m[a.Key] = a.Value
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		m[a.Key] = a.Value
-		return true
-	})
-	switch r.Message {
-	case logMsgRequest:
-		h.out.Printf("%s %s %s %d %s",
-			m["id"].String(), m["method"].String(), m["path"].String(),
-			m["status"].Int64(), m["duration"].Duration().Round(time.Microsecond))
-	case logMsgPanic:
-		h.out.Printf("%s PANIC %s %s: %v",
-			m["id"].String(), m["method"].String(), m["path"].String(), m["value"].Any())
-	default:
-		var b strings.Builder
-		b.WriteString(r.Message)
-		r.Attrs(func(a slog.Attr) bool {
-			fmt.Fprintf(&b, " %s=%v", a.Key, a.Value.Any())
-			return true
-		})
-		h.out.Print(b.String())
-	}
-	return nil
-}

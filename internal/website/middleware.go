@@ -119,8 +119,7 @@ func (s *Site) requestID() middleware {
 }
 
 // accessLog emits one structured record per finished request: request ID,
-// method, path, normalized route, status and duration. Through SetLogger's
-// legacy adapter this renders as the historical one-line format.
+// method, path, normalized route, status and duration.
 func (s *Site) accessLog() middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

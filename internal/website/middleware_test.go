@@ -3,7 +3,7 @@ package website
 import (
 	"bytes"
 	"encoding/json"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -30,7 +30,7 @@ func TestRequestIDHeader(t *testing.T) {
 func TestPanicRecovery(t *testing.T) {
 	s := New()
 	var logBuf bytes.Buffer
-	s.SetLogger(log.New(&logBuf, "", 0))
+	s.SetSlogger(slog.New(slog.NewJSONHandler(&logBuf, nil)))
 	// Hang a panicking route onto a copy of the site's middleware stack.
 	bomb := chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
@@ -51,7 +51,7 @@ func TestPanicRecovery(t *testing.T) {
 	if panics != 1 {
 		t.Errorf("%s = %d, want 1", MetricHTTPPanics, panics)
 	}
-	if !strings.Contains(logBuf.String(), "PANIC") || !strings.Contains(logBuf.String(), "kaboom") {
+	if recs := logRecords(t, &logBuf); len(recs) != 2 || recs[0].Msg != "panic" || recs[0].Value != "kaboom" {
 		t.Errorf("panic not logged: %q", logBuf.String())
 	}
 	// The 500 is still counted as a request on the route.
@@ -66,25 +66,55 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
+// logRecord is the subset of a site log record the tests assert on.
+type logRecord struct {
+	Msg    string `json:"msg"`
+	ID     string `json:"id"`
+	Method string `json:"method"`
+	Path   string `json:"path"`
+	Status int    `json:"status"`
+	Value  string `json:"value"`
+}
+
+// logRecords decodes the JSON records a slog.JSONHandler wrote to buf,
+// leaving buf intact for failure messages.
+func logRecords(t *testing.T, buf *bytes.Buffer) []logRecord {
+	t.Helper()
+	var out []logRecord
+	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
+	for dec.More() {
+		var r logRecord
+		if err := dec.Decode(&r); err != nil {
+			t.Fatalf("log is not JSON records: %v", err)
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
 func TestAccessLogLine(t *testing.T) {
 	s := New()
 	var logBuf bytes.Buffer
-	s.SetLogger(log.New(&logBuf, "", 0))
+	s.SetSlogger(slog.New(slog.NewJSONHandler(&logBuf, nil)))
 	h := s.Handler()
 	get(t, h, "/catalogs")
 	get(t, h, "/nope")
-	lines := strings.Split(strings.TrimSpace(logBuf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("access log lines = %d, want 2: %q", len(lines), logBuf.String())
+	recs := logRecords(t, &logBuf)
+	if len(recs) != 2 {
+		t.Fatalf("access log records = %d, want 2: %q", len(recs), logBuf.String())
 	}
-	if !strings.Contains(lines[0], "GET /catalogs 200") {
-		t.Errorf("line = %q, want method/path/status", lines[0])
-	}
-	if !strings.Contains(lines[1], "GET /nope 404") {
-		t.Errorf("line = %q, want 404 status", lines[1])
-	}
-	if !strings.HasPrefix(lines[0], "r") {
-		t.Errorf("line = %q, want request-id prefix", lines[0])
+	for i, want := range []logRecord{
+		{Msg: "request", Method: "GET", Path: "/catalogs", Status: 200},
+		{Msg: "request", Method: "GET", Path: "/nope", Status: 404},
+	} {
+		got := recs[i]
+		if !strings.HasPrefix(got.ID, "r") {
+			t.Errorf("record %d id = %q, want request-id prefix r", i, got.ID)
+		}
+		got.ID = ""
+		if got != want {
+			t.Errorf("record %d = %+v, want %+v", i, got, want)
+		}
 	}
 }
 

@@ -49,8 +49,7 @@ type Site struct {
 }
 
 // New returns a site with an empty honor roll, a fresh metrics registry
-// and tracer, and a discarded access log (use SetSlogger for structured
-// output or SetLogger for the legacy line format).
+// and tracer, and a discarded access log (use SetSlogger to keep it).
 func New() *Site {
 	return &Site{
 		metrics: telemetry.NewRegistry(),
