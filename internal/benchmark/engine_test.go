@@ -45,6 +45,26 @@ func renderCards(cards []*Scorecard) string {
 	return b.String()
 }
 
+// paper12AllocBudget caps the allocations of one sequential EvaluateAll of
+// fresh instances of the four built-in systems: the paper's twelve queries
+// against each. A run takes about 14500 with the mapping kernels as byte
+// scanners, the lexicons built once and each row keyed in one buffer; it
+// took about 20400 when the kernels were regular expressions, every system
+// built its own lexicon and Row.Key joined a slice of pairs.
+const paper12AllocBudget = 15500
+
+func TestPaper12AllocationBudget(t *testing.T) {
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := NewSequentialRunner().EvaluateAll(allSystems()...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per run", allocs)
+	if allocs > paper12AllocBudget {
+		t.Errorf("%.0f allocations per run, budget %d", allocs, paper12AllocBudget)
+	}
+}
+
 // The concurrent engine must be invisible in the output: whatever the pool
 // size, the ranked scorecards are byte-identical to the sequential path.
 func TestParallelMatchesSequentialByteIdentical(t *testing.T) {

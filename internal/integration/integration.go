@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -165,18 +166,28 @@ type Answer struct {
 // "source" names the testbed source the row came from.
 type Row map[string]string
 
-// Key renders a row canonically (sorted fields) for set comparison.
+// Key renders a row canonically (sorted fields) for set comparison:
+// "field=value" pairs joined by "|".
 func (r Row) Key() string {
-	keys := make([]string, 0, len(r))
-	for k := range r {
+	var buf [16]string // rows hold a handful of fields; more spill to the heap
+	keys := buf[:0]
+	size := 0
+	for k, v := range r {
 		keys = append(keys, k)
+		size += len(k) + len(v) + 2
 	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, k+"="+r[k])
+	slices.Sort(keys)
+	var b strings.Builder
+	b.Grow(size)
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteByte('|')
+		}
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.WriteString(r[k])
 	}
-	return strings.Join(parts, "|")
+	return b.String()
 }
 
 // System is an integration system that can be evaluated on the benchmark.
@@ -253,8 +264,9 @@ func MatchRows(want, got []Row) (missing, extra []Row) {
 	counts := map[string]int{}
 	byKey := map[string]Row{}
 	for _, r := range want {
-		counts[r.Key()]++
-		byKey[r.Key()] = r
+		k := r.Key()
+		counts[k]++
+		byKey[k] = r
 	}
 	for _, r := range got {
 		k := r.Key()

@@ -1,6 +1,8 @@
 package integration
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -30,6 +32,35 @@ func TestRowKeyCanonical(t *testing.T) {
 	c := Row{"a": "1", "b": "3"}
 	if a.Key() == c.Key() {
 		t.Error("differing rows must differ in key")
+	}
+	wide := Row{}
+	for i := 0; i < 20; i++ { // more fields than Key's stack buffer holds
+		wide[fmt.Sprintf("f%02d", 19-i)] = strings.Repeat("v", i)
+	}
+	for _, r := range []Row{a, {}, {"": ""}, {"x": "a=b|c"}, wide} {
+		keys := make([]string, 0, len(r))
+		for k := range r {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		parts := make([]string, len(keys))
+		for i, k := range keys {
+			parts[i] = k + "=" + r[k]
+		}
+		if got, want := r.Key(), strings.Join(parts, "|"); got != want {
+			t.Errorf("Key(%v) = %q, want %q", r, got, want)
+		}
+	}
+}
+
+// rowKeySink keeps the compiler from dropping the measured Key call.
+var rowKeySink string
+
+// Row.Key builds the key in one buffer: its only allocation is the result.
+func TestRowKeyAllocations(t *testing.T) {
+	r := Row{"source": "cmu", "course": "15-415", "title": "Database Applications", "instructor": "Faloutsos", "time": "13:30-14:50"}
+	if got := testing.AllocsPerRun(100, func() { rowKeySink = r.Key() }); got != 1 {
+		t.Errorf("Row.Key allocated %.0f times per call, want 1", got)
 	}
 }
 

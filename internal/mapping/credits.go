@@ -2,7 +2,6 @@ package mapping
 
 import (
 	"fmt"
-	"regexp"
 	"strconv"
 )
 
@@ -20,16 +19,17 @@ type Umfang struct {
 	Exercise int // U: weekly exercise hours
 }
 
-var umfangRE = regexp.MustCompile(`^\s*(\d+)V(\d+)U\s*$`)
-
-// ParseUmfang parses notation like "2V1U".
+// ParseUmfang parses notation like "2V1U": `^\s*(\d+)V(\d+)U\s*$`.
 func ParseUmfang(s string) (Umfang, error) {
-	m := umfangRE.FindStringSubmatch(s)
-	if m == nil {
+	i := skipSpace(s, 0)
+	vEnd := skipDigits(s, i)
+	uEnd := skipDigits(s, vEnd+1)
+	if vEnd == i || vEnd == len(s) || s[vEnd] != 'V' ||
+		uEnd == vEnd+1 || uEnd == len(s) || s[uEnd] != 'U' || skipSpace(s, uEnd+1) != len(s) {
 		return Umfang{}, fmt.Errorf("mapping: unparseable Umfang %q", s)
 	}
-	v, _ := strconv.Atoi(m[1])
-	u, _ := strconv.Atoi(m[2])
+	v, _ := strconv.Atoi(s[i:vEnd])
+	u, _ := strconv.Atoi(s[vEnd+1 : uEnd])
 	return Umfang{Lecture: v, Exercise: u}, nil
 }
 

@@ -2,7 +2,7 @@ package mapping
 
 import (
 	"fmt"
-	"regexp"
+	"strconv"
 	"strings"
 )
 
@@ -20,25 +20,60 @@ type BrownTitle struct {
 	Time       string // source spelling, e.g. "2:30-4"
 }
 
-var brownTitleRE = regexp.MustCompile(`^(.*?)([A-Z]) hr\. ([A-Za-z,]+) (\d[\d:.\-]*)$`)
-
 // DecomposeBrownTitle splits Brown's composite title column. Titles with no
 // schedule part ("hrs. arranged" courses) return only the title.
+//
+// The split is `^(.*?)([A-Z]) hr\. ([A-Za-z,]+) (\d[\d:.\-]*)$`. Its
+// schedule part holds exactly three spaces, so it is read from the right:
+// the time follows the last space, the days the one before, "hr." the one
+// before that, and the hour letter precedes it. The title (. excludes \n)
+// is everything left of the letter.
 func DecomposeBrownTitle(s string) BrownTitle {
 	s = strings.TrimSpace(s)
 	if i := strings.Index(s, "hrs. arranged"); i >= 0 {
 		return BrownTitle{Title: strings.TrimSpace(s[:i])}
 	}
-	m := brownTitleRE.FindStringSubmatch(s)
-	if m == nil {
+	sp3 := strings.LastIndexByte(s, ' ')
+	sp2 := strings.LastIndexByte(s[:max(sp3, 0)], ' ')
+	sp1 := strings.LastIndexByte(s[:max(sp2, 0)], ' ')
+	if sp1 < 1 || s[sp1:sp2] != " hr." || !isUpper(s[sp1-1]) ||
+		!isBrownDays(s[sp2+1:sp3]) || !isBrownTime(s[sp3+1:]) ||
+		strings.IndexByte(s[:sp1-1], '\n') >= 0 {
 		return BrownTitle{Title: s}
 	}
 	return BrownTitle{
-		Title:      strings.TrimSpace(m[1]),
-		HourLetter: m[2],
-		Days:       m[3],
-		Time:       m[4],
+		Title:      strings.TrimSpace(s[:sp1-1]),
+		HourLetter: s[sp1-1 : sp1],
+		Days:       s[sp2+1 : sp3],
+		Time:       s[sp3+1:],
 	}
+}
+
+func isUpper(c byte) bool { return 'A' <= c && c <= 'Z' }
+
+func isLetter(c byte) bool { return isUpper(c) || 'a' <= c && c <= 'z' }
+
+// isBrownDays reports whether s matches `[A-Za-z,]+`.
+func isBrownDays(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !isLetter(s[i]) && s[i] != ',' {
+			return false
+		}
+	}
+	return s != ""
+}
+
+// isBrownTime reports whether s matches `\d[\d:.\-]*`.
+func isBrownTime(s string) bool {
+	if s == "" || !isDigit(s[0]) {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		if c := s[i]; !isDigit(c) && c != ':' && c != '.' && c != '-' {
+			return false
+		}
+	}
+	return true
 }
 
 // CanonicalDays normalizes day spellings ("T,Th", "Mo/Mi/Fr", "Di/Do") to
@@ -80,24 +115,57 @@ type UMDSection struct {
 	HasSeats bool
 }
 
-var umdSectionRE = regexp.MustCompile(`^(\d+)\((\d+)\)\s*([^(]*?)\s*(?:\(Seats=(\d+), Open=(\d+), Waitlist=(\d+)\))?$`)
-
 // ParseUMDSection parses a Maryland section title. This is the "extract the
 // name part from all of the section titles" work that query 10's challenge
 // calls out.
+//
+// It accepts `^(\d+)\((\d+)\)\s*([^(]*?)\s*(?:\(Seats=(\d+),
+// Open=(\d+), Waitlist=(\d+)\))?$`: the teacher runs to the first "(" after
+// the ID, and that "(" must open the seat counts that end the value. A seat
+// count that overflows int reads as 0, as fmt.Sscanf leaves it.
 func ParseUMDSection(s string) (UMDSection, error) {
-	m := umdSectionRE.FindStringSubmatch(strings.TrimSpace(s))
-	if m == nil {
+	t := strings.TrimSpace(s)
+	numEnd := skipDigits(t, 0)
+	idEnd := skipDigits(t, numEnd+1)
+	if numEnd == 0 || numEnd == len(t) || t[numEnd] != '(' ||
+		idEnd == numEnd+1 || idEnd == len(t) || t[idEnd] != ')' {
 		return UMDSection{}, fmt.Errorf("mapping: unparseable UMD section %q", s)
 	}
-	sec := UMDSection{Num: m[1], ID: m[2], Teacher: strings.TrimSpace(m[3])}
-	if m[4] != "" {
+	sec := UMDSection{Num: t[:numEnd], ID: t[numEnd+1 : idEnd]}
+	rest := t[idEnd+1:]
+	teacher, seats, found := strings.Cut(rest, "(")
+	if found {
+		var ok bool
+		if sec.Seats, seats, ok = seatCount(seats, "Seats=", ", "); ok {
+			if sec.Open, seats, ok = seatCount(seats, "Open=", ", "); ok {
+				sec.Waitlist, seats, ok = seatCount(seats, "Waitlist=", ")")
+			}
+		}
+		if !ok || seats != "" {
+			return UMDSection{}, fmt.Errorf("mapping: unparseable UMD section %q", s)
+		}
 		sec.HasSeats = true
-		fmt.Sscanf(m[4], "%d", &sec.Seats)
-		fmt.Sscanf(m[5], "%d", &sec.Open)
-		fmt.Sscanf(m[6], "%d", &sec.Waitlist)
 	}
+	sec.Teacher = strings.TrimSpace(teacher)
 	return sec, nil
+}
+
+// seatCount reads `label(\d+)end` from the start of s and returns the
+// number, 0 if it overflows int, and what follows end.
+func seatCount(s, label, end string) (n int, rest string, ok bool) {
+	if !strings.HasPrefix(s, label) {
+		return 0, "", false
+	}
+	s = s[len(label):]
+	i := skipDigits(s, 0)
+	if i == 0 || !strings.HasPrefix(s[i:], end) {
+		return 0, "", false
+	}
+	n, err := strconv.Atoi(s[:i])
+	if err != nil {
+		n = 0
+	}
+	return n, s[i+len(end):], true
 }
 
 // UMDTime is the decomposition of Maryland's Time values, which carry days,
@@ -108,15 +176,25 @@ type UMDTime struct {
 	Room string
 }
 
-var umdTimeRE = regexp.MustCompile(`^([A-Za-z]+)\s+([\d:apm]+)\s+(\S+)$`)
-
-// ParseUMDTime splits a Maryland Time value into days, time and room.
+// ParseUMDTime splits a Maryland Time value into days, time and room: it
+// accepts `^([A-Za-z]+)\s+([\d:apm]+)\s+(\S+)$`.
 func ParseUMDTime(s string) (UMDTime, error) {
-	m := umdTimeRE.FindStringSubmatch(strings.TrimSpace(s))
-	if m == nil {
+	t := strings.TrimSpace(s)
+	daysEnd := 0
+	for daysEnd < len(t) && isLetter(t[daysEnd]) {
+		daysEnd++
+	}
+	timeAt := skipSpace(t, daysEnd)
+	timeEnd := timeAt
+	for timeEnd < len(t) && (isDigit(t[timeEnd]) || strings.IndexByte(":apm", t[timeEnd]) >= 0) {
+		timeEnd++
+	}
+	roomAt := skipSpace(t, timeEnd)
+	if daysEnd == 0 || timeAt == daysEnd || timeEnd == timeAt || roomAt == timeEnd ||
+		roomAt == len(t) || strings.ContainsAny(t[roomAt:], " \t\n\f\r") {
 		return UMDTime{}, fmt.Errorf("mapping: unparseable UMD time %q", s)
 	}
-	return UMDTime{Days: m[1], Time: m[2], Room: m[3]}, nil
+	return UMDTime{Days: t[:daysEnd], Time: t[timeAt:timeEnd], Room: t[roomAt:]}, nil
 }
 
 // entryLevelMarkers are comment phrasings that imply a course has no
@@ -152,16 +230,28 @@ func InferEntryLevel(prereq, comment string) bool {
 	return false
 }
 
-// classRE matches US student-classification codes in restriction values.
-var classRE = regexp.MustCompile(`\b(FR|SO|JR|SR|GR)\b`)
-
 // Classifications extracts the US student-classification codes from a
-// restrictions value like "JR or SR". The concept does not exist at
-// European universities (case 8) — callers must distinguish an empty result
-// on a US source (no restriction) from the attribute being inapplicable.
+// restrictions value like "JR or SR": the matches of
+// `\b(FR|SO|JR|SR|GR)\b`, in order. The concept does not exist at European
+// universities (case 8) — callers must distinguish an empty result on a US
+// source (no restriction) from the attribute being inapplicable.
 func Classifications(restrictions string) []string {
-	return classRE.FindAllString(restrictions, -1)
+	s := restrictions
+	var out []string
+	for i := 0; i+2 <= len(s); i++ {
+		switch s[i : i+2] {
+		case "FR", "SO", "JR", "SR", "GR":
+			if (i == 0 || !isWordByte(s[i-1])) && (i+2 == len(s) || !isWordByte(s[i+2])) {
+				out = append(out, s[i:i+2])
+			}
+		}
+	}
+	return out
 }
+
+// isWordByte reports whether c is an ASCII word character, the bytes \b
+// separates from the rest.
+func isWordByte(c byte) bool { return isLetter(c) || isDigit(c) || c == '_' }
 
 // OpenTo reports whether a restrictions value admits the given
 // classification code; an unrestricted course admits everyone.

@@ -3,6 +3,7 @@ package mapping
 import (
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Lexicon is a bidirectional German↔English dictionary for the
@@ -11,14 +12,28 @@ import (
 // (like "Datenbank"). Real systems would plug in a full dictionary; the
 // paper notes that without one this heterogeneity needs "large amounts of
 // custom code".
+//
+// A Lexicon is read-only once built, so one value serves every caller and
+// goroutine.
 type Lexicon struct {
 	deToEn map[string]string
 	enToDe map[string][]string
+	// lowered holds enToDe with the renderings lowercased, for
+	// ValueContains.
+	lowered []loweredTerm
+}
+
+type loweredTerm struct {
+	en string   // an enToDe key
+	de []string // its renderings, lowercased
 }
 
 // NewGermanLexicon returns the lexicon covering the testbed's German
-// sources (ETH Zürich, TU München, Universität Karlsruhe).
-func NewGermanLexicon() *Lexicon {
+// sources (ETH Zürich, TU München, Universität Karlsruhe). It is built once
+// per process; every call returns the same read-only value.
+func NewGermanLexicon() *Lexicon { return germanLexicon() }
+
+var germanLexicon = sync.OnceValue(func() *Lexicon {
 	l := &Lexicon{deToEn: map[string]string{}, enToDe: map[string][]string{}}
 	// Schema terms.
 	for de, en := range map[string]string{
@@ -56,14 +71,27 @@ func NewGermanLexicon() *Lexicon {
 	} {
 		l.add(de, en)
 	}
-	return l
-}
+	return l.lowerRenderings()
+})
 
 func (l *Lexicon) add(de, en string) {
 	l.deToEn[strings.ToLower(de)] = en
 	key := strings.ToLower(en)
 	l.enToDe[key] = append(l.enToDe[key], de)
 	sort.Strings(l.enToDe[key])
+}
+
+// lowerRenderings fills lowered from enToDe; a constructor calls it once
+// every term is added.
+func (l *Lexicon) lowerRenderings() *Lexicon {
+	for en, des := range l.enToDe {
+		t := loweredTerm{en: en, de: make([]string, len(des))}
+		for i, de := range des {
+			t.de[i] = strings.ToLower(de)
+		}
+		l.lowered = append(l.lowered, t)
+	}
+	return l
 }
 
 // ToEnglish translates a German term; ok is false for unknown terms.
@@ -114,12 +142,12 @@ func (l *Lexicon) ValueContains(germanValue, englishTerm string) bool {
 	}
 	// The renderings tried are ToGerman's — the term's own and those of
 	// every compound it is a stem of — without collecting them first.
-	for key, des := range l.enToDe {
-		if !strings.HasPrefix(key, term) {
+	for _, t := range l.lowered {
+		if !strings.HasPrefix(t.en, term) {
 			continue
 		}
-		for _, de := range des {
-			if strings.Contains(lv, strings.ToLower(de)) {
+		for _, de := range t.de {
+			if strings.Contains(lv, de) {
 				return true
 			}
 		}
@@ -140,8 +168,11 @@ func (l *Lexicon) TranslateTag(tag string) string {
 // source (EPFL): schema terms and the domain vocabulary appearing in
 // course titles. Together with the German lexicon it demonstrates that the
 // language-expression heterogeneity (case 5) is a per-language dictionary
-// problem, not a one-off.
-func NewFrenchLexicon() *Lexicon {
+// problem, not a one-off. It is built once per process; every call returns
+// the same read-only value.
+func NewFrenchLexicon() *Lexicon { return frenchLexicon() }
+
+var frenchLexicon = sync.OnceValue(func() *Lexicon {
 	l := &Lexicon{deToEn: map[string]string{}, enToDe: map[string][]string{}}
 	// Schema terms.
 	for fr, en := range map[string]string{
@@ -178,5 +209,5 @@ func NewFrenchLexicon() *Lexicon {
 	} {
 		l.add(fr, en)
 	}
-	return l
-}
+	return l.lowerRenderings()
+})

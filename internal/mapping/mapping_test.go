@@ -34,9 +34,15 @@ func TestParseClock(t *testing.T) {
 			t.Errorf("To24Hour(%q) = %q, want %q", in, got, want)
 		}
 	}
-	for _, bad := range []string{"", "abc", "25:00", "12:61", "1:3x"} {
+	for _, bad := range []string{"", "abc", "25:00", "12:61", "1:3x", "1:234", "1:30pM"} {
 		if _, err := To24Hour(bad); err == nil {
 			t.Errorf("To24Hour(%q): expected error", bad)
+		}
+	}
+	// With an am/pm marker only hours 1-12 exist.
+	for _, bad := range []string{"13:30pm", "23:59PM", "0am", "00:30am"} {
+		if _, err := To24Hour(bad); err == nil || !strings.Contains(err.Error(), "bad hour") {
+			t.Errorf("To24Hour(%q): error %v, want a bad hour", bad, err)
 		}
 	}
 }
@@ -75,9 +81,33 @@ func TestParseClockRange(t *testing.T) {
 			t.Errorf("RangeTo24(%q) = %q, want %q", in, got, want)
 		}
 	}
-	for _, bad := range []string{"1:30", "", "x-y"} {
+	for _, bad := range []string{"1:30", "", "x-y", "11pm-13pm", "Toronto 1-2"} {
 		if _, err := RangeTo24(bad); err == nil {
 			t.Errorf("RangeTo24(%q): expected error", bad)
+		}
+	}
+}
+
+// Sinks keep the compiler from dropping a measured call's result.
+var (
+	stringSink  string
+	lexiconSink *Lexicon
+)
+
+// The kernels' allocation pins: RangeTo24 allocates only its result, and
+// the lexicons are built once per process.
+func TestKernelAllocations(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want float64
+		fn   func()
+	}{
+		{"RangeTo24", 1, func() { stringSink, _ = RangeTo24("1:30 - 2:50") }},
+		{"NewGermanLexicon", 0, func() { lexiconSink = NewGermanLexicon() }},
+		{"NewFrenchLexicon", 0, func() { lexiconSink = NewFrenchLexicon() }},
+	} {
+		if got := testing.AllocsPerRun(100, c.fn); got != c.want {
+			t.Errorf("%s allocated %.0f times per call, want %.0f", c.name, got, c.want)
 		}
 	}
 }
