@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -62,6 +63,31 @@ func TestPaper12AllocationBudget(t *testing.T) {
 	t.Logf("%.0f allocations per run", allocs)
 	if allocs > paper12AllocBudget {
 		t.Errorf("%.0f allocations per run, budget %d", allocs, paper12AllocBudget)
+	}
+}
+
+// TestPaper12DigestPinned pins the paper's twelve queries over the four
+// built-in systems to a committed golden: fresh systems evaluated through
+// NewRunner at pools 1, 2 and 8 must produce the scorecard digest in
+// testdata/paper12.digest. Any change to a score, an effort charge or a
+// ranked answer moves the digest; rewrite the golden only for a change
+// meant to move them, and say so.
+func TestPaper12DigestPinned(t *testing.T) {
+	golden, err := os.ReadFile("testdata/paper12.digest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.TrimSpace(string(golden))
+	for _, pool := range []int{1, 2, 8} {
+		r := NewRunner()
+		r.Concurrency = pool
+		cards, err := r.EvaluateAll(allSystems()...)
+		if err != nil {
+			t.Fatalf("pool %d: %v", pool, err)
+		}
+		if got := ScorecardDigest(cards); got != want {
+			t.Errorf("pool %d: scorecard digest %s, want %s", pool, got, want)
+		}
 	}
 }
 

@@ -64,3 +64,31 @@ func FuzzScenarioGen(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseMix holds the --mix grammar to its contract on arbitrary input:
+// ParseMix never panics, every weight it accepts is in [0, maxWeight], an
+// accepted mix renders (String) to text that parses back to the same mix,
+// and New accepts it.
+func FuzzParseMix(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := ParseMix(s)
+		if err != nil {
+			return
+		}
+		for c, w := range m {
+			if w < 0 || w > maxWeight {
+				t.Fatalf("ParseMix(%q): weight %d for %v out of range [0,%d]", s, w, c, maxWeight)
+			}
+		}
+		again, err := ParseMix(m.String())
+		if err != nil {
+			t.Fatalf("ParseMix(%q) = %q, which does not parse: %v", s, m.String(), err)
+		}
+		if again.String() != m.String() {
+			t.Fatalf("ParseMix(%q) = %q, round-trips to %q", s, m.String(), again.String())
+		}
+		if _, err := New(Params{Sources: 1, Mix: m}); err != nil {
+			t.Fatalf("ParseMix(%q) = %q, which New rejects: %v", s, m.String(), err)
+		}
+	})
+}

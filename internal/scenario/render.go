@@ -96,8 +96,8 @@ func refFields(fs []field, c *catalog.Course) []field {
 // challengeFields transforms a course's reference fields into the dialect
 // of the given heterogeneity case and returns the course element's name
 // with them. Each arm realizes exactly one of the paper's twelve cases,
-// phrased so internal/hetero.DetectDocs diagnoses that case (and only that
-// case) from the rendered pair. The switch is the generator's per-class
+// phrased so internal/schemamatch.DetectDocs diagnoses that case (and only
+// that case) from the rendered pair. The switch is the generator's per-class
 // dispatch — every hetero.Case must have an arm here (enforced by the
 // scenariocoverage vet analyzer).
 func challengeFields(fs []field, c *catalog.Course, cse hetero.Case) (string, []field) {

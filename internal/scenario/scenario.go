@@ -82,7 +82,9 @@ func caseForSlug(s string) (hetero.Case, error) {
 // ParseMix parses the mix grammar: "uniform" (or empty) for the uniform
 // mix, or a comma-separated list of term[:weight] entries where term is a
 // case slug ("synonyms", "nulls", ...) or case number and weight defaults
-// to 1 — e.g. "synonyms:2,nulls,7:3".
+// to 1 — e.g. "synonyms:2,nulls,7:3". A repeated term's weights add up.
+// It accepts exactly the mixes New accepts: every summed weight in
+// [0, maxWeight], and at least one positive.
 func ParseMix(s string) (Mix, error) {
 	s = strings.TrimSpace(s)
 	if s == "" || strings.EqualFold(s, "uniform") {
@@ -111,6 +113,9 @@ func ParseMix(s string) (Mix, error) {
 			return nil, fmt.Errorf("scenario: mix weight %d out of range [0,%d]", weight, maxWeight)
 		}
 		m[c] += weight
+	}
+	if _, _, _, err := m.validate(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -8,6 +8,7 @@ import (
 	"thalia/internal/benchmark"
 	"thalia/internal/hetero"
 	"thalia/internal/integration"
+	"thalia/internal/schemamatch"
 	"thalia/internal/xmldom"
 )
 
@@ -26,6 +27,8 @@ func TestParseMix(t *testing.T) {
 		{in: "synonyms:x", wantErr: true},
 		{in: "synonyms:-1", wantErr: true},
 		{in: "13", wantErr: true},
+		{in: "synonyms:1000000,synonyms:1", wantErr: true},
+		{in: "synonyms:0", wantErr: true},
 	}
 	for _, tc := range cases {
 		m, err := ParseMix(tc.in)
@@ -106,10 +109,11 @@ func rowsMatch(t *testing.T, label string, want, got []integration.Row) {
 
 // TestClassConformance is the per-class property suite: for every
 // heterogeneity class, a single-class scenario must (a) assign the class,
-// (b) render a document pair that internal/hetero diagnoses as exactly that
-// class, (c) plant at least one answer row, (d) agree with the plan engine
-// over the reference document where that is expressible, and (e) be
-// answered correctly by the mediator over the challenge document.
+// (b) render a document pair that internal/schemamatch diagnoses as
+// exactly that class, (c) plant at least one answer row, (d) agree with
+// the plan engine over the reference document where that is expressible,
+// and (e) be answered correctly by the mediator over the challenge
+// document.
 func TestClassConformance(t *testing.T) {
 	for _, cse := range hetero.AllCases() {
 		cse := cse
@@ -124,8 +128,8 @@ func TestClassConformance(t *testing.T) {
 					t.Fatalf("source %d: case %v, want %v", i, got, cse)
 				}
 				ref, chal := sc.ReferenceDocument(i), sc.ChallengeDocument(i)
-				detected := hetero.DetectDocs(ref, chal)
-				if len(detected) != 1 || detected[0] != cse {
+				detected := schemamatch.DetectDocs(ref, chal)
+				if len(detected) != 1 || detected[0].Case != cse {
 					t.Errorf("source %d: DetectDocs = %v, want exactly [%v]", i, detected, cse)
 				}
 				truth := sc.Truth(i)
@@ -274,7 +278,7 @@ func TestTaxonomyCovered(t *testing.T) {
 }
 
 func TestDetectDocsNilSafe(t *testing.T) {
-	if got := hetero.DetectDocs(nil, nil); got != nil {
+	if got := schemamatch.DetectDocs(nil, nil); got != nil {
 		t.Errorf("DetectDocs(nil, nil) = %v", got)
 	}
 }

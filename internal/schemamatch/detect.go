@@ -1,114 +1,188 @@
 package schemamatch
 
 import (
-	"regexp"
-	"sort"
+	"fmt"
+	"slices"
 	"strings"
+	"unicode"
 
-	"thalia/internal/catalog"
 	"thalia/internal/hetero"
 	"thalia/internal/mapping"
 	"thalia/internal/xmldom"
 )
 
-// Detection is one heterogeneity the detector believes a source pair
-// exhibits, with the evidence that triggered it.
+// Detection is one heterogeneity a document pair exhibits, with the
+// evidence that triggered it.
 type Detection struct {
 	Case     hetero.Case
 	Evidence string
 }
 
-// conceptInfo is what the detector knows about one concept in one source.
-type conceptInfo struct {
-	element   string
-	depth     int // element depth below the root (course child = 2)
-	evidence  string
-	samples   []string
-	mixed     bool // markup-mixed leaf (string + links), the union type
-	repeated  bool // more than one element of this concept per course
-	optional  bool // absent from some courses
-	emptyVals bool // present but sometimes empty
-}
-
-// profile builds the concept map of one source: concept → info about the
-// best-matching element. Markup leaves (elements whose only child elements
-// are anchors) count as leaves, so Brown's hyperlinked columns profile too.
-func (m *Matcher) profile(src *catalog.Source) (map[Concept]*conceptInfo, error) {
-	doc, err := src.Document()
-	if err != nil {
-		return nil, err
+// DetectDocs reports which of the twelve heterogeneity cases (Section 3 of
+// the paper) separate a challenge document from a reference document of
+// the same domain — the paper's manual classification, operationalized.
+// Both documents are read as catalogs: the root's child elements are the
+// records, their leaves the attributes. Each document is profiled once,
+// every leaf element matched to a global concept by dictionary, lexicon,
+// name similarity or instance evidence, and one rule per case compares the
+// two profiles. Every rule fires only on a difference between them, so a
+// document checked against itself reports nothing. The detections are
+// sorted by case, at most one per case.
+func DetectDocs(ref, chal *xmldom.Document) []Detection {
+	if ref == nil || ref.Root == nil || chal == nil || chal.Root == nil {
+		return nil
 	}
-	type elemStat struct {
-		depth           int
-		samples         []string
-		mixed           bool
-		perCourseCounts map[*xmldom.Element]int
-		emptyVals       bool
-	}
-	stats := map[string]*elemStat{}
-	courses := doc.Root.ChildElements()
-	var walk func(el *xmldom.Element, course *xmldom.Element, depth int)
-	walk = func(el *xmldom.Element, course *xmldom.Element, depth int) {
-		for _, c := range el.ChildElements() {
-			leaf, mixed := effectiveLeaf(c)
-			if leaf {
-				st := stats[c.Name]
-				if st == nil {
-					st = &elemStat{depth: depth + 1, perCourseCounts: map[*xmldom.Element]int{}}
-					stats[c.Name] = st
-				}
-				st.perCourseCounts[course]++
-				if mixed {
-					st.mixed = true
-				}
-				v := strings.TrimSpace(c.DeepText())
-				if v == "" {
-					st.emptyVals = true
-				} else if len(st.samples) < 20 {
-					st.samples = append(st.samples, v)
-				}
-				continue
-			}
-			walk(c, course, depth+1)
+	m := New()
+	a, b := m.profile(ref), m.profile(chal)
+	var out []Detection
+	for _, r := range rules {
+		if evidence := r.rule(a, b); evidence != "" {
+			out = append(out, Detection{Case: r.c, Evidence: evidence})
 		}
 	}
-	for _, course := range courses {
-		walk(course, course, 1)
+	return out
+}
+
+// profile is what one document says about each concept it matches.
+type profile struct {
+	records  int
+	record   string           // the first record's element name
+	language *mapping.Lexicon // lexicon translating record, nil for English
+	concepts map[Concept]*conceptProfile
+	// mentioned holds the concepts that free text (the values of leaves
+	// matching no concept) names.
+	mentioned map[Concept]bool
+	// composed is an element whose value composes text with a schedule,
+	// "" if none does.
+	composed string
+}
+
+// conceptProfile aggregates the leaf elements matched to one concept.
+type conceptProfile struct {
+	dictNames        []string // lowercased names the dictionary maps here
+	valueOnly        []string // names that do not name the concept
+	named            bool     // some element's name alone maps to the concept
+	depths           uint64   // bit d set: an element d levels below the record
+	values           []string // the non-empty values, in document order
+	linked           bool     // some element carries an attribute or a hyperlink
+	repeated         bool     // some record holds two same-named elements
+	present, filled  int      // records with an element, with a non-empty one
+	last, lastFilled int      // the record each count last counted
+}
+
+// leaf is one attribute value of a record.
+type leaf struct {
+	record, depth int
+	name, value   string
+	linked        bool
+}
+
+// profile reads doc as a catalog of records and matches each distinct leaf
+// element name once, on up to 20 of its non-empty values.
+func (m *Matcher) profile(doc *xmldom.Document) *profile {
+	records := doc.Root.ChildElements()
+	p := &profile{records: len(records), concepts: map[Concept]*conceptProfile{}, mentioned: map[Concept]bool{}}
+	if len(records) > 0 {
+		p.record = records[0].Name
+		p.language, _ = m.lexiconFor(records[0].Name)
+	}
+	var leaves []leaf
+	var walk func(el *xmldom.Element, record, depth int)
+	walk = func(el *xmldom.Element, record, depth int) {
+		for _, c := range el.ChildElements() {
+			isLeaf, mixed := effectiveLeaf(c)
+			if !isLeaf {
+				walk(c, record, depth+1)
+				continue
+			}
+			leaves = append(leaves, leaf{record: record, depth: depth, name: c.Name,
+				value: strings.TrimSpace(c.DeepText()), linked: mixed || len(c.Attrs) > 0})
+		}
+	}
+	for i, r := range records {
+		walk(r, i, 1)
 	}
 
-	out := map[Concept]*conceptInfo{}
-	names := make([]string, 0, len(stats))
-	for n := range stats {
-		names = append(names, n)
+	samples := map[string][]string{}
+	var names []string
+	for _, l := range leaves {
+		s, seen := samples[l.name]
+		if !seen {
+			names = append(names, l.name)
+		}
+		if l.value != "" && len(s) < 20 {
+			s = append(s, l.value)
+		}
+		samples[l.name] = s
 	}
-	sort.Strings(names)
+	slices.Sort(names)
+	concept := map[string]Concept{}
 	for _, name := range names {
-		st := stats[name]
-		cand := m.Match(name, st.samples)
+		cand := m.Match(name, samples[name])
+		concept[name] = cand.Concept
 		if cand.Concept == ConceptUnknown {
 			continue
 		}
-		info := &conceptInfo{
-			element:   name,
-			depth:     st.depth + 1, // +1 for the course element itself
-			evidence:  cand.Evidence,
-			samples:   st.samples,
-			mixed:     st.mixed,
-			optional:  len(st.perCourseCounts) < len(courses),
-			emptyVals: st.emptyVals,
+		cp := p.concepts[cand.Concept]
+		if cp == nil {
+			cp = &conceptProfile{last: -1, lastFilled: -1}
+			p.concepts[cand.Concept] = cp
 		}
-		for _, n := range st.perCourseCounts {
-			if n > 1 {
-				info.repeated = true
-			}
-		}
-		// Prefer the dictionary/lexicon hit if two elements map to the same
-		// concept; otherwise keep the first (sorted) one.
-		if prev, ok := out[cand.Concept]; !ok || betterEvidence(cand.Evidence, prev.evidence) {
-			out[cand.Concept] = info
+		switch {
+		case cand.Evidence == "dictionary":
+			cp.dictNames = append(cp.dictNames, strings.ToLower(name))
+			cp.named = true
+		case cand.Evidence == "instance" && m.MatchName(name).Concept != cand.Concept:
+			cp.valueOnly = append(cp.valueOnly, name)
+		default:
+			cp.named = true
 		}
 	}
-	return out, nil
+
+	perRecord := map[string]int{}
+	for i, l := range leaves {
+		if i > 0 && leaves[i-1].record != l.record {
+			clear(perRecord)
+		}
+		perRecord[l.name]++
+		if p.composed == "" && composed(l.value) {
+			p.composed = l.name
+		}
+		cp := p.concepts[concept[l.name]]
+		if cp == nil {
+			m.noteMentions(p.mentioned, l.value)
+			continue
+		}
+		cp.depths |= 1 << min(l.depth, 63)
+		cp.linked = cp.linked || l.linked
+		cp.repeated = cp.repeated || perRecord[l.name] > 1
+		if cp.last != l.record {
+			cp.last = l.record
+			cp.present++
+		}
+		if l.value != "" {
+			cp.values = append(cp.values, l.value)
+			if cp.lastFilled != l.record {
+				cp.lastFilled = l.record
+				cp.filled++
+			}
+		}
+	}
+	return p
+}
+
+// noteMentions adds to mentioned every concept a dictionary word of the
+// free-text value names, and prerequisites when the value is an
+// entry-level phrasing ("First course in sequence") that reads as none.
+func (m *Matcher) noteMentions(mentioned map[Concept]bool, value string) {
+	for _, w := range strings.FieldsFunc(value, func(r rune) bool { return !unicode.IsLetter(r) }) {
+		if c, ok := m.dict[strings.ToLower(w)]; ok {
+			mentioned[c] = true
+		}
+	}
+	if mapping.InferEntryLevel("", value) {
+		mentioned[ConceptPrereq] = true
+	}
 }
 
 // effectiveLeaf reports whether el is a leaf for profiling purposes: no
@@ -126,328 +200,299 @@ func effectiveLeaf(el *xmldom.Element) (leaf, mixed bool) {
 	return true, true
 }
 
-func betterEvidence(a, b string) bool {
-	rank := map[string]int{"dictionary": 3, "lexicon": 2, "instance": 1, "name": 0}
-	return rank[a] > rank[b]
+// rules holds one rule per case, in case order. A rule compares the
+// reference and challenge profiles and returns its evidence, or "" when
+// the case does not separate them.
+var rules = [...]struct {
+	c    hetero.Case
+	rule func(a, b *profile) string
+}{
+	{hetero.Synonyms, synonyms},
+	{hetero.SimpleMapping, simpleMapping},
+	{hetero.UnionTypes, unionTypes},
+	{hetero.ComplexMappings, complexMappings},
+	{hetero.LanguageExpression, languageExpression},
+	{hetero.Nulls, nulls},
+	{hetero.VirtualColumns, virtualColumns},
+	{hetero.SemanticIncompatibility, semanticIncompatibility},
+	{hetero.SameAttributeDifferentStructure, sameAttributeDifferentStructure},
+	{hetero.HandlingSets, handlingSets},
+	{hetero.AttributeNameDoesNotDefineSemantics, nameDoesNotDefineSemantics},
+	{hetero.AttributeComposition, attributeComposition},
 }
 
-var (
-	hasAMPM     = regexp.MustCompile(`(?i)\b(am|pm)\b|[0-9](am|pm)`)
-	has24Hour   = regexp.MustCompile(`\b(1[3-9]|2[0-3]):[0-5][0-9]`)
-	numericOnly = regexp.MustCompile(`^\d+$`)
-)
-
-// DetectPair profiles two sources and reports which of the twelve
-// heterogeneity cases the pair appears to exhibit — the paper's manual
-// classification, operationalized. Heuristics are deliberately conservative:
-// a reported case carries concrete evidence, but absence of a report is not
-// proof of homogeneity.
-func (m *Matcher) DetectPair(ref, chal *catalog.Source) ([]Detection, error) {
-	a, err := m.profile(ref)
-	if err != nil {
-		return nil, err
-	}
-	b, err := m.profile(chal)
-	if err != nil {
-		return nil, err
-	}
-	var out []Detection
-	add := func(c hetero.Case, evidence string) {
-		out = append(out, Detection{Case: c, Evidence: evidence})
-	}
-
-	// Case 1 — Synonyms: a shared concept under different element names.
-	for concept, ia := range a {
-		if ib, ok := b[concept]; ok && ia.element != ib.element {
-			add(hetero.Synonyms, string(concept)+": "+ref.Name+"/"+ia.element+" vs "+chal.Name+"/"+ib.element)
-			break
+// shared returns the concepts both profiles match, sorted.
+func shared(a, b *profile) []Concept {
+	var out []Concept
+	for c := range a.concepts {
+		if _, ok := b.concepts[c]; ok {
+			out = append(out, c)
 		}
 	}
-
-	// Case 5 — Language expression: a concept resolved through the lexicon
-	// on exactly one side.
-	for concept, ia := range a {
-		ib, ok := b[concept]
-		if !ok {
-			continue
-		}
-		if (ia.evidence == "lexicon") != (ib.evidence == "lexicon") {
-			add(hetero.LanguageExpression, string(concept)+" named in another language")
-			break
-		}
-	}
-
-	// Case 2 — Simple mapping: the time concept is spelled on different
-	// clocks (12-hour markers on one side, 24-hour hours on the other).
-	if ia, ok := a[ConceptTime]; ok {
-		if ib, ok := b[ConceptTime]; ok {
-			aStyle := clockStyle(ia.samples)
-			bStyle := clockStyle(ib.samples)
-			if aStyle != "" && bStyle != "" && aStyle != bStyle {
-				add(hetero.SimpleMapping, "time spelled "+aStyle+" vs "+bStyle)
-			}
-		}
-	}
-
-	// Case 3 — Union types: a concept is plain text on one side and
-	// string-plus-link markup on the other.
-	for concept, ia := range a {
-		if ib, ok := b[concept]; ok && ia.mixed != ib.mixed {
-			add(hetero.UnionTypes, string(concept)+" is a string-plus-link union on one side")
-			break
-		}
-	}
-
-	// Case 4 — Complex mappings: the credits concept is a plain number on
-	// one side and a non-numeric notation (ETH's "2V1U") on the other.
-	if ia, ok := a[ConceptCredits]; ok {
-		if ib, ok := b[ConceptCredits]; ok {
-			an, bn := allNumeric(ia.samples), allNumeric(ib.samples)
-			if an != bn {
-				add(hetero.ComplexMappings, "credits numeric vs notation (e.g. "+firstSample(ia, ib, !an)+")")
-			}
-		}
-	}
-
-	// Case 6 — Nulls: a shared concept that is optional or empty-valued on
-	// at least one side.
-	for concept, ia := range a {
-		ib, ok := b[concept]
-		if !ok {
-			continue
-		}
-		if ia.optional || ib.optional || ia.emptyVals || ib.emptyVals {
-			add(hetero.Nulls, string(concept)+" missing or empty for some courses")
-			break
-		}
-	}
-
-	// Case 7 — Virtual columns: a concept explicit on one side exists only
-	// implicitly on the other, inside a free-text comment-like element.
-	// Case 8 — Semantic incompatibility: a concept modeled on one side does
-	// not exist at all on the other.
-	for _, concept := range []Concept{ConceptRestrict, ConceptPrereq} {
-		_, inA := a[concept]
-		_, inB := b[concept]
-		if inA == inB {
-			continue
-		}
-		missingSrc := chal
-		if inB {
-			missingSrc = ref
-		}
-		if el, ok := commentElement(missingSrc); ok {
-			add(hetero.VirtualColumns,
-				string(concept)+" only implicit in "+missingSrc.Name+"/"+el)
-		} else {
-			add(hetero.SemanticIncompatibility, string(concept)+" concept exists on one side only")
-		}
-		break
-	}
-
-	// Case 9 — Same attribute in different structure: a shared concept at
-	// different depths (course-level vs nested under sections), or a concept
-	// explicit on one side but buried inside another concept's values on the
-	// other (Maryland's room inside Section/Time).
-	case9 := false
-	for concept, ia := range a {
-		if ib, ok := b[concept]; ok && ia.depth != ib.depth {
-			add(hetero.SameAttributeDifferentStructure,
-				string(concept)+" at depth "+itoa(ia.depth)+" vs "+itoa(ib.depth))
-			case9 = true
-			break
-		}
-	}
-	if !case9 {
-		_, inA := a[ConceptRoom]
-		_, inB := b[ConceptRoom]
-		if inA != inB {
-			other := b
-			if inB {
-				other = a
-			}
-			if it, ok := other[ConceptTime]; ok && roomEmbedded(it.samples) {
-				add(hetero.SameAttributeDifferentStructure,
-					"room embedded in the other side's "+it.element+" values")
-			}
-		}
-	}
-
-	// Case 10 — Handling sets: a concept that is set-valued in one source
-	// (slash-separated values or repeated elements) and single-valued in the
-	// other — including the Maryland shape, where instructors live inside a
-	// repeated section concept rather than an instructor element.
-	ia10, inA10 := a[ConceptInstructor]
-	ib10, inB10 := b[ConceptInstructor]
-	switch {
-	case inA10 && inB10:
-		aSet := ia10.repeated || hasSlashValues(ia10.samples)
-		bSet := ib10.repeated || hasSlashValues(ib10.samples)
-		if aSet != bSet {
-			add(hetero.HandlingSets, "instructor set-valued on one side")
-		}
-	case inA10 != inB10:
-		other := b
-		if inB10 {
-			other = a
-		}
-		if is, ok := other[ConceptSection]; ok && is.repeated && namesEmbedded(is.samples) {
-			add(hetero.HandlingSets, "instructors inside repeated "+is.element+" values")
-		}
-	}
-
-	// Case 11 — Attribute name does not define semantics: a concept that
-	// could only be recovered from instance evidence.
-	for concept, info := range merged(a, b) {
-		if info.evidence == "instance" {
-			add(hetero.AttributeNameDoesNotDefineSemantics,
-				info.element+" matched "+string(concept)+" by values only")
-			break
-		}
-	}
-
-	// Case 12 — Attribute composition: one side's title values embed a
-	// decomposable schedule part that the other side keeps in separate
-	// elements.
-	if ia, ok := a[ConceptTitle]; ok {
-		if ib, ok := b[ConceptTitle]; ok {
-			if composite(ia.samples) != composite(ib.samples) {
-				add(hetero.AttributeComposition, "title embeds day/time on one side")
-			}
-		}
-	}
-
-	sort.Slice(out, func(i, j int) bool { return out[i].Case < out[j].Case })
-	return out, nil
+	slices.Sort(out)
+	return out
 }
 
-func clockStyle(samples []string) string {
-	am, h24 := false, false
-	for _, s := range samples {
-		if hasAMPM.MatchString(s) {
-			am = true
-		}
-		if has24Hour.MatchString(s) {
-			h24 = true
-		}
-	}
-	switch {
-	case am && !h24:
-		return "12-hour"
-	case h24 && !am:
-		return "24-hour"
-	case !am && !h24 && len(samples) > 0:
-		return "bare-12-hour"
-	default:
-		return ""
-	}
+// both returns the two profiles' entries for concept c, if both match it.
+func both(a, b *profile, c Concept) (x, y *conceptProfile, ok bool) {
+	x, y = a.concepts[c], b.concepts[c]
+	return x, y, x != nil && y != nil
 }
 
-func allNumeric(samples []string) bool {
-	if len(samples) == 0 {
-		return false
+// synonyms (case 1): a shared concept whose dictionary names on the two
+// sides have none in common. Lexicon, similarity and instance matches are
+// other cases' evidence.
+func synonyms(a, b *profile) string {
+	for _, c := range shared(a, b) {
+		x, y := a.concepts[c].dictNames, b.concepts[c].dictNames
+		if len(x) > 0 && len(y) > 0 && disjoint(x, y) {
+			return fmt.Sprintf("%s named %s vs %s", c, x[0], y[0])
+		}
 	}
-	for _, s := range samples {
-		if !numericOnly.MatchString(strings.TrimSpace(s)) {
+	return ""
+}
+
+func disjoint(x, y []string) bool {
+	for _, s := range x {
+		if slices.Contains(y, s) {
 			return false
 		}
 	}
 	return true
 }
 
-func firstSample(a, b *conceptInfo, fromA bool) string {
-	info := b
-	if fromA {
-		info = a
+// simpleMapping (case 2): the time concept is spelled on different clocks.
+func simpleMapping(a, b *profile) string {
+	x, y, ok := both(a, b, ConceptTime)
+	if !ok {
+		return ""
 	}
-	if len(info.samples) > 0 {
-		return info.samples[0]
+	if sx, sy := clockStyle(x.values), clockStyle(y.values); sx != "" && sy != "" && sx != sy {
+		return "time spelled " + sx + " vs " + sy
 	}
-	return "?"
+	return ""
 }
 
-func hasSlashValues(samples []string) bool {
-	for _, s := range samples {
-		if strings.Contains(s, "/") {
+// clockStyle names how values spell the clock: "12-hour" when a clock
+// carries an am/pm marker, "bare 12-hour" when an unmarked clock is not
+// its own canonical rendering ("1:30" in "1:30 - 2:50"), "24-hour" when
+// every clock is ("08:00", "16:00"), and "" when no value holds a clock.
+func clockStyle(values []string) string {
+	var marked, bare, canonical bool
+	for _, v := range values {
+		for _, tok := range strings.FieldsFunc(v, func(r rune) bool {
+			return unicode.IsSpace(r) || r == ',' || r == '-' || r == '–' || r == '—'
+		}) {
+			t, err := mapping.ParseClock(tok)
+			switch {
+			case err != nil:
+			case strings.IndexFunc(tok, unicode.IsLetter) >= 0:
+				// ParseClock accepts letters only in an am/pm marker.
+				marked = true
+			case t.String() == tok:
+				canonical = true
+			default:
+				bare = true
+			}
+		}
+	}
+	switch {
+	case marked:
+		return "12-hour"
+	case bare:
+		return "bare 12-hour"
+	case canonical:
+		return "24-hour"
+	}
+	return ""
+}
+
+// unionTypes (case 3): a shared concept carries a link (an attribute or an
+// anchor) on one side only.
+func unionTypes(a, b *profile) string {
+	for _, c := range shared(a, b) {
+		if a.concepts[c].linked != b.concepts[c].linked {
+			return string(c) + " is a string-plus-link union on one side only"
+		}
+	}
+	return ""
+}
+
+// complexMappings (case 4): credits are a workload notation ("2V1U") on
+// one side only.
+func complexMappings(a, b *profile) string {
+	x, y, ok := both(a, b, ConceptCredits)
+	if ok && workload(x.values) != workload(y.values) {
+		return "credits spelled as a workload (\"2V1U\") on one side only"
+	}
+	return ""
+}
+
+func workload(values []string) bool {
+	for _, v := range values {
+		if _, err := mapping.ParseUmfang(v); err == nil {
 			return true
 		}
 	}
 	return false
 }
 
-// composite reports whether title values look like Brown's run-on column:
-// a title with an embedded " hr. " schedule part.
-func composite(samples []string) bool {
-	for _, s := range samples {
-		if mapping.DecomposeBrownTitle(s).Time != "" {
-			return true
-		}
+// languageExpression (case 5): the records are named in different
+// languages — a different lexicon, or none for English, translates the
+// record name on each side.
+func languageExpression(a, b *profile) string {
+	if a.language != b.language {
+		return "records named " + a.record + " vs " + b.record
 	}
-	return false
+	return ""
 }
 
-// commentElement finds a free-text comment-like element in a source, the
-// hiding place of virtual columns (case 7).
-func commentElement(src *catalog.Source) (string, bool) {
-	doc, err := src.Document()
-	if err != nil {
-		return "", false
-	}
-	for _, el := range doc.Root.Descendants("*") {
-		switch strings.ToLower(el.Name) {
-		case "comment", "notes", "note", "remark", "remarks":
-			return el.Name, true
+// nulls (case 6): a shared concept is missing, or present but empty, in a
+// different share of the records on each side.
+func nulls(a, b *profile) string {
+	for _, c := range shared(a, b) {
+		x, y := a.concepts[c], b.concepts[c]
+		xMissing, yMissing := a.records-x.present, b.records-y.present
+		xEmpty, yEmpty := x.present-x.filled, y.present-y.filled
+		if xMissing*b.records != yMissing*a.records || xEmpty*b.records != yEmpty*a.records {
+			return fmt.Sprintf("%s missing in %d/%d vs %d/%d records, empty in %d/%d vs %d/%d", c,
+				xMissing, a.records, yMissing, b.records, xEmpty, a.records, yEmpty, b.records)
 		}
 	}
-	return "", false
+	return ""
 }
 
-// roomEmbedded reports whether time-ish values carry a trailing room token.
-func roomEmbedded(samples []string) bool {
-	for _, s := range samples {
-		fields := strings.Fields(s)
-		if len(fields) < 2 {
-			continue
-		}
-		if looksLikeRoom(fields[len(fields)-1]) {
-			return true
-		}
+// optional are the concepts a catalog may not model at all.
+var optional = [...]Concept{ConceptPrereq, ConceptRestrict}
+
+// lacking returns whichever profile lacks concept c that the other models.
+func lacking(a, b *profile, c Concept) *profile {
+	_, inA := a.concepts[c]
+	_, inB := b.concepts[c]
+	switch {
+	case inA && !inB:
+		return b
+	case inB && !inA:
+		return a
 	}
-	return false
+	return nil
 }
 
-// namesEmbedded reports whether section-title values carry person names
-// (Maryland's "0101(13795) Singh, H.").
-func namesEmbedded(samples []string) bool {
-	for _, s := range samples {
-		if sec, err := mapping.ParseUMDSection(s); err == nil && looksLikePersonName(sec.Teacher) {
-			return true
+// virtualColumns (case 7): an optional concept modeled on one side is only
+// mentioned in the other side's free text.
+func virtualColumns(a, b *profile) string {
+	for _, c := range optional {
+		if p := lacking(a, b, c); p != nil && p.mentioned[c] {
+			return string(c) + " modeled on one side, only mentioned in free text on the other"
 		}
 	}
-	return false
+	return ""
 }
 
-func merged(a, b map[Concept]*conceptInfo) map[Concept]*conceptInfo {
-	out := map[Concept]*conceptInfo{}
-	for c, i := range a {
-		out[c] = i
-	}
-	for c, i := range b {
-		if _, ok := out[c]; !ok || i.evidence == "instance" {
-			out[c] = i
+// semanticIncompatibility (case 8): an optional concept modeled on one
+// side does not exist on the other, not even in free text.
+func semanticIncompatibility(a, b *profile) string {
+	for _, c := range optional {
+		if p := lacking(a, b, c); p != nil && !p.mentioned[c] {
+			return string(c) + " modeled on one side only"
 		}
 	}
-	return out
+	return ""
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
+// sameAttributeDifferentStructure (case 9): a shared concept sits at
+// different depths below the record, or the room is an element on one side
+// and part of the time values on the other (Maryland's "MWF 10:00am
+// KEY0106").
+func sameAttributeDifferentStructure(a, b *profile) string {
+	for _, c := range shared(a, b) {
+		if a.concepts[c].depths != b.concepts[c].depths {
+			return string(c) + " at different depths below the record"
+		}
 	}
-	digits := []byte{}
-	for n > 0 {
-		digits = append([]byte{byte('0' + n%10)}, digits...)
-		n /= 10
+	if p := lacking(a, b, ConceptRoom); p != nil && p.concepts[ConceptTime] != nil {
+		for _, v := range p.concepts[ConceptTime].values {
+			if t, err := mapping.ParseUMDTime(v); err == nil && t.Room != "" {
+				return "room an element on one side, inside time values on the other"
+			}
+		}
 	}
-	return string(digits)
+	return ""
+}
+
+// handlingSets (case 10): the two sides represent sets of instructors
+// differently.
+func handlingSets(a, b *profile) string {
+	if sa, sb := instructorSets(a), instructorSets(b); sa != "" && sb != "" && sa != sb {
+		return "instructor sets as " + sa + " vs " + sb
+	}
+	return ""
+}
+
+// instructorSets says how a profile represents a course's instructors when
+// there are several: "repeated" elements (instructor elements, or
+// Maryland's sections each naming a teacher), "joined" values ("Song/Wing",
+// "Ng; Ito"), both, or "" when no course has several.
+func instructorSets(p *profile) string {
+	repeated, joined := false, false
+	if in := p.concepts[ConceptInstructor]; in != nil {
+		repeated = in.repeated
+		for _, v := range in.values {
+			joined = joined || strings.ContainsAny(v, "/;")
+		}
+	}
+	if sec := p.concepts[ConceptSection]; sec != nil && sec.repeated {
+		for _, v := range sec.values {
+			if s, err := mapping.ParseUMDSection(v); err == nil && looksLikePersonName(s.Teacher) {
+				repeated = true
+			}
+		}
+	}
+	switch {
+	case repeated && joined:
+		return "repeated elements and joined values"
+	case repeated:
+		return "repeated elements"
+	case joined:
+		return "joined values"
+	}
+	return ""
+}
+
+// nameDoesNotDefineSemantics (case 11): a shared concept is named on one
+// side and recognizable only by its values on the other.
+func nameDoesNotDefineSemantics(a, b *profile) string {
+	for _, c := range shared(a, b) {
+		x, y := a.concepts[c], b.concepts[c]
+		if x.named != y.named {
+			if x.named {
+				x = y
+			}
+			return fmt.Sprintf("%s matched by values only in %s", c, strings.Join(x.valueOnly, ", "))
+		}
+	}
+	return ""
+}
+
+// attributeComposition (case 12): one side composes text with a schedule
+// in one value that the other side does not.
+func attributeComposition(a, b *profile) string {
+	if (a.composed == "") != (b.composed == "") {
+		// One of the two names is empty.
+		return a.composed + b.composed + " composes text with a day/time schedule on one side only"
+	}
+	return ""
+}
+
+// composed reports whether v ends in a schedule, a run of day letters and
+// a clock range, after other text: Brown's "Intro to Databases I hr.
+// T,Th 1-2:20" and a generated "Databases. MWF 13:30-14:50".
+func composed(v string) bool {
+	f := strings.Fields(v)
+	if len(f) < 3 {
+		return false
+	}
+	days := mapping.CanonicalDays(f[len(f)-2])
+	_, _, err := mapping.ParseClockRange(f[len(f)-1])
+	return err == nil && days != "" && strings.Trim(days, "MTWThF") == ""
 }

@@ -12,6 +12,9 @@
 // value transformations (cases 2, 4), missing-data semantics (6-8) and the
 // structural cases still demand the programmatic mappings the benchmark
 // charges for.
+//
+// The same matcher profiles documents for the heterogeneity detector,
+// DetectDocs, which reports the cases that separate two documents.
 package schemamatch
 
 import (
@@ -104,22 +107,19 @@ func (m *Matcher) MatchName(name string) Candidate {
 		return Candidate{Element: name, Concept: c, Score: 1.0, Evidence: "dictionary"}
 	}
 	// Foreign-language term? Translate then retry the dictionary.
-	for _, lex := range m.lexicons {
-		en, ok := lex.ToEnglish(key)
-		if !ok {
-			continue
-		}
-		if c, ok := m.dict[strings.ToLower(en)]; ok {
-			return Candidate{Element: name, Concept: c, Score: 0.9, Evidence: "lexicon"}
-		}
+	if lex, c := m.lexiconFor(key); lex != nil {
+		return Candidate{Element: name, Concept: c, Score: 0.9, Evidence: "lexicon"}
 	}
-	// String similarity against every dictionary entry.
+	// String similarity against every dictionary entry; of equally similar
+	// entries the alphabetically first wins, so the match is deterministic.
 	best := Candidate{Element: name, Concept: ConceptUnknown, Evidence: "name"}
+	bestEntry := ""
 	for entry, c := range m.dict {
 		s := similarity(key, entry)
-		if s > best.Score {
+		if s > best.Score || s == best.Score && entry < bestEntry {
 			best.Concept = c
 			best.Score = s
+			bestEntry = entry
 		}
 	}
 	if best.Score < 0.6 {
@@ -127,6 +127,19 @@ func (m *Matcher) MatchName(name string) Candidate {
 	}
 	best.Score *= 0.8 // similarity evidence is weaker than a dictionary hit
 	return best
+}
+
+// lexiconFor returns the lexicon that translates name into a dictionary
+// word, with that word's concept, or nil when no lexicon does.
+func (m *Matcher) lexiconFor(name string) (*mapping.Lexicon, Concept) {
+	for _, lex := range m.lexicons {
+		if en, ok := lex.ToEnglish(name); ok {
+			if c, ok := m.dict[strings.ToLower(en)]; ok {
+				return lex, c
+			}
+		}
+	}
+	return nil, ConceptUnknown
 }
 
 // MatchInstances proposes a concept from value evidence: the fraction of
@@ -182,11 +195,10 @@ func (m *Matcher) MatchInstances(name string, values []string) Candidate {
 // ("Fall2003") says nothing but the values are person names.
 func (m *Matcher) Match(name string, values []string) Candidate {
 	byName := m.MatchName(name)
-	byInst := m.MatchInstances(name, values)
 	if byName.Score >= 0.9 {
 		return byName
 	}
-	if byInst.Score > byName.Score {
+	if byInst := m.MatchInstances(name, values); byInst.Score > byName.Score {
 		return byInst
 	}
 	return byName

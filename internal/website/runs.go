@@ -259,7 +259,15 @@ func parseRunSpec(r *http.Request) (runSpec, error) {
 	if len(names) == 0 {
 		names = []string{"cohera", "iwiz", "mediator", "declarative"}
 	}
+	// Each system at most once: a run builds one system, and twelve cells,
+	// per name, so a repeated name would let a small request buy unbounded
+	// work.
+	seen := map[string]bool{}
 	for _, name := range names {
+		if seen[name] {
+			return spec, fmt.Errorf("system %q named twice", name)
+		}
+		seen[name] = true
 		sys, ok := systemByName(name)
 		if !ok {
 			return spec, fmt.Errorf("unknown system %q (cohera|iwiz|mediator|declarative)", name)

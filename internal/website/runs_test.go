@@ -548,6 +548,9 @@ func TestRunsBadRequests(t *testing.T) {
 		{"unknown system", func() (*http.Response, error) {
 			return http.PostForm(ts.URL+"/runs", url.Values{"system": {"sirius"}})
 		}, http.StatusBadRequest},
+		{"repeated system", func() (*http.Response, error) {
+			return http.PostForm(ts.URL+"/runs", url.Values{"system": {"cohera", "iwiz", "cohera"}})
+		}, http.StatusBadRequest},
 		{"bad concurrency", func() (*http.Response, error) {
 			return http.PostForm(ts.URL+"/runs", url.Values{"concurrency": {"-3"}})
 		}, http.StatusBadRequest},

@@ -253,22 +253,25 @@ func RunSchemaMatchExperiment() (*MatchReport, error) {
 	return schemamatch.RunExperiment()
 }
 
-// Detection is one heterogeneity case the detector believes a source pair
-// exhibits, with evidence.
+// Detection is one heterogeneity case a source pair exhibits, with
+// evidence.
 type Detection = schemamatch.Detection
 
-// DetectHeterogeneities profiles two testbed sources and reports which of
-// the twelve heterogeneity cases the pair appears to exhibit — the paper's
-// manual classification (Section 3), automated. Over the twelve benchmark
-// source pairs it recovers every assigned case.
+// DetectHeterogeneities compares two testbed sources' extracted documents
+// and reports which of the twelve heterogeneity cases separate them — the
+// paper's manual classification (Section 3), automated. Over the twelve
+// benchmark source pairs it recovers every assigned case, and a source
+// compared with itself reports none.
 func DetectHeterogeneities(refName, challengeName string) ([]Detection, error) {
-	ref, err := catalog.Get(refName)
-	if err != nil {
-		return nil, err
+	var docs [2]*xmldom.Document
+	for i, name := range []string{refName, challengeName} {
+		src, err := catalog.Get(name)
+		if err != nil {
+			return nil, err
+		}
+		if docs[i], err = src.Document(); err != nil {
+			return nil, err
+		}
 	}
-	chal, err := catalog.Get(challengeName)
-	if err != nil {
-		return nil, err
-	}
-	return schemamatch.New().DetectPair(ref, chal)
+	return schemamatch.DetectDocs(docs[0], docs[1]), nil
 }
