@@ -182,10 +182,15 @@ type HonorRollEntry struct {
 	Complexity int
 }
 
-// HonorRoll is the public ranking the THALIA web site maintains.
+// HonorRoll is the public ranking the THALIA web site maintains. It keeps
+// its honorRollSize best entries, in rank order.
 type HonorRoll struct {
 	Entries []HonorRollEntry
 }
+
+// honorRollSize bounds the Honor Roll, so uploads cannot grow it without
+// limit.
+const honorRollSize = 1000
 
 // Add inserts an entry from a scorecard.
 func (h *HonorRoll) Add(group string, s *Scorecard) {
@@ -204,6 +209,8 @@ func (h *HonorRoll) AddEntry(e HonorRollEntry) {
 	h.sort()
 }
 
+// sort ranks the entries and drops those beyond honorRollSize, the
+// lowest-ranked.
 func (h *HonorRoll) sort() {
 	sort.SliceStable(h.Entries, func(i, j int) bool {
 		if h.Entries[i].Correct != h.Entries[j].Correct {
@@ -214,6 +221,10 @@ func (h *HonorRoll) sort() {
 		}
 		return h.Entries[i].System < h.Entries[j].System
 	})
+	if len(h.Entries) > honorRollSize {
+		clear(h.Entries[honorRollSize:])
+		h.Entries = h.Entries[:honorRollSize]
+	}
 }
 
 // Format renders the honor roll as a text table.

@@ -116,7 +116,9 @@ func scaleTiming(name string, n, runs int, ns int64) benchmark.Timing {
 
 // generateAll builds, for every source, what a streaming evaluation's cell
 // generates: the expected answer and the challenge document. The sources
-// are shared out over pool workers, as the runner shares out cells.
+// are shared out over pool workers, as the runner shares out cells, and
+// each worker renders into one pooled arena, as the mediator's DocSource
+// recycles its arenas.
 func generateAll(sc *Scenario, pool int) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -124,9 +126,10 @@ func generateAll(sc *Scenario, pool int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			a := &arena{pooled: true}
 			for i := int(next.Add(1) - 1); i < sc.Sources(); i = int(next.Add(1) - 1) {
 				sc.Truth(i)
-				sc.render(i, true)
+				sc.render(i, true, a)
 			}
 		}()
 	}

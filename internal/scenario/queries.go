@@ -47,7 +47,7 @@ type QuerySpec struct {
 // Spec returns source i's generated query spec. It walks the source's
 // stream only as far as the planted course the query is anchored on.
 func (sc *Scenario) Spec(i int) QuerySpec {
-	w := sc.walk(i)
+	w := sc.walk(i, true)
 	w.next()
 	return w.spec
 }
@@ -69,31 +69,37 @@ var familyFields = [...][]string{
 	hetero.AttributeComposition:                {"source", "course", "title", "day", "time"},
 }
 
-// buildSpec derives source i's query family instance from its planted
-// course. Reference queries stay inside the engine subset the canonical
-// twelve use: FLWOR over one doc(), '=' with %like% patterns, starts-with,
-// numeric comparison.
-func (sc *Scenario) buildSpec(i int, cse hetero.Case, planted *catalog.Course) QuerySpec {
-	subject := subjects[courseSubject(planted)].en
-	s := QuerySpec{
-		Source:     sc.Name(i),
+// newSpec derives the query family parameters of a source from its
+// planted course; spellQueries adds the query texts for the consumers that
+// read them.
+func newSpec(source string, cse hetero.Case, planted *catalog.Course) QuerySpec {
+	return QuerySpec{
+		Source:     source,
 		Case:       cse,
-		Subject:    subject,
+		Subject:    subjects[courseSubject(planted)].en,
 		Instructor: planted.Instructors[0].Name,
 		Start:      planted.Start,
 		Credits:    planted.Credits - 1,
 		Fields:     familyFields[cse],
 	}
+}
+
+// spellQueries fills in the spec's name and its query in both dialects.
+// Reference queries stay inside the engine subset the canonical twelve
+// use: FLWOR over one doc(), '=' with %like% patterns, starts-with,
+// numeric comparison.
+func (s *QuerySpec) spellQueries() {
+	subject := s.Subject
 	uri := s.Source + ".xml"
 	refFor := fmt.Sprintf("FOR $c in doc(%q)/catalog/course\n", uri)
 	chalFor := refFor
-	if cse == hetero.LanguageExpression {
+	if s.Case == hetero.LanguageExpression {
 		chalFor = fmt.Sprintf("FOR $c in doc(%q)/catalog/Vorlesung\n", uri)
 	}
 	titleLike := fmt.Sprintf("WHERE $c/title = '%%%s%%'\n", subject)
 	const ret = "RETURN $c"
 
-	switch cse {
+	switch s.Case {
 	case hetero.Synonyms:
 		s.Name = fmt.Sprintf("courses taught by %q", s.Instructor)
 		s.XQuery = refFor + fmt.Sprintf("WHERE $c/instructor = '%s'\n", s.Instructor) + ret
@@ -143,7 +149,6 @@ func (sc *Scenario) buildSpec(i int, cse hetero.Case, planted *catalog.Course) Q
 		s.XQuery = refFor + titleLike + ret
 		s.ChallengeXQuery = chalFor + fmt.Sprintf("WHERE $c/listing = '%%%s%%'\n", subject) + ret
 	}
-	return s
 }
 
 // germanLex is the shared (read-only) schema lexicon; truth and mediator
@@ -157,7 +162,7 @@ var germanLex = mapping.NewGermanLexicon()
 // one walk of the source generates it.
 func (sc *Scenario) Truth(i int) []integration.Row {
 	var rows []integration.Row
-	w := sc.walk(i)
+	w := sc.walk(i, false)
 	for w.more() {
 		c := w.next()
 		rows = truthRows(rows, &w.spec, &c)
@@ -268,7 +273,7 @@ func (sc *Scenario) RefRows(i int) (rows []integration.Row, checkable bool, err 
 	if c := sc.Case(i); c == hetero.LanguageExpression || c == hetero.SemanticIncompatibility {
 		return nil, false, nil
 	}
-	doc, spec := sc.render(i, false)
+	doc, spec := sc.render(i, false, new(arena))
 	els, err := evalToElements(spec.XQuery, spec.Source, doc)
 	if err != nil {
 		return nil, true, err

@@ -15,7 +15,7 @@ import (
 // prerequisite, textbook (element always present, possibly empty),
 // restriction, semester and comment.
 func (sc *Scenario) ReferenceDocument(i int) *xmldom.Document {
-	doc, _ := sc.render(i, false)
+	doc, _ := sc.render(i, false, new(arena))
 	return doc
 }
 
@@ -23,7 +23,7 @@ func (sc *Scenario) ReferenceDocument(i int) *xmldom.Document {
 // reference shape transformed by the source's assigned case (see
 // challengeFields).
 func (sc *Scenario) ChallengeDocument(i int) *xmldom.Document {
-	doc, _ := sc.render(i, true)
+	doc, _ := sc.render(i, true, new(arena))
 	return doc
 }
 
@@ -36,13 +36,13 @@ func (sc *Scenario) ChallengeXML(i int) string {
 	return b.String()
 }
 
-// render builds source i's reference or challenge document and its query
-// spec from one walk of the source's stream, each course rendered as it is
-// generated.
-func (sc *Scenario) render(i int, challenge bool) (*xmldom.Document, QuerySpec) {
-	w := sc.walk(i)
-	root := xmldom.NewElement("catalog").SetAttr("school", sc.Name(i))
-	root.Children = make([]xmldom.Node, 0, w.n)
+// render builds source i's reference or challenge document in arena a,
+// with its query spec, from one walk of the source's stream, each course
+// rendered as it is generated. The document lives in the arena until the
+// arena's next render.
+func (sc *Scenario) render(i int, challenge bool, a *arena) (*xmldom.Document, QuerySpec) {
+	w := sc.walk(i, true)
+	root := a.reset(w.n, w.source)
 	var buf [maxFields]field
 	for w.more() {
 		c := w.next()
@@ -50,7 +50,7 @@ func (sc *Scenario) render(i int, challenge bool) (*xmldom.Document, QuerySpec) 
 		if challenge {
 			tag, fs = challengeFields(fs, &c, w.cse)
 		}
-		root.Append(courseElement(tag, fs))
+		root.Append(a.course(tag, fs))
 	}
 	return xmldom.NewDocument(root), w.spec
 }
@@ -68,11 +68,7 @@ type field struct {
 const maxFields = 14
 
 // timeRange24 renders a course's meeting time in the reference spelling.
-func timeRange24(c *catalog.Course) string {
-	var b [16]byte
-	s := append(catalog.AppendClock24(b[:0], c.Start), '-')
-	return string(catalog.AppendClock24(s, c.End))
-}
+func timeRange24(c *catalog.Course) string { return meeting(c).h24 }
 
 // refFields appends course c's reference-shaped fields to fs.
 func refFields(fs []field, c *catalog.Course) []field {
@@ -108,7 +104,7 @@ func challengeFields(fs []field, c *catalog.Course, cse hetero.Case) (string, []
 		rename(fs, "instructor", "lecturer")
 	case hetero.SimpleMapping:
 		// Case 2: same attribute, 12-hour clock spelling.
-		edit(fs, "time", func(f *field) { f.value = catalog.Clock12(c.Start) + "-" + catalog.Clock12(c.End) })
+		edit(fs, "time", func(f *field) { f.value = meeting(c).h12 })
 	case hetero.UnionTypes:
 		// Case 3: the title gains an attribute (hyperlink), a union type.
 		edit(fs, "title", func(f *field) { f.url = c.TitleURL })
@@ -193,11 +189,82 @@ func remove(fs []field, name string) []field {
 	return out
 }
 
-// courseElement builds the element for one course's final fields. Its
-// elements, text nodes and child lists come from three slabs sized exactly
-// for the course, so a course costs three allocations however many fields
-// it has.
-func courseElement(tag string, fs []field) *xmldom.Element {
+// Per-course bounds on a rendered course's storage: the course element,
+// its fields and one section element; a text per field; and a child slot
+// for every element but the course and for every text.
+const (
+	maxCourseEls   = maxFields + 2
+	maxCourseTexts = maxFields
+	maxCourseKids  = maxCourseEls - 1 + maxCourseTexts
+)
+
+// arena is the storage of one rendered document: the root element and its
+// child list, and the course elements, texts, child slots and attributes
+// below it. A fresh arena takes each course's storage in exact-size slabs,
+// as per-course allocation would. A pooled arena renders document after
+// document, as DocSource's recycled arenas do: it keeps slabs sized for
+// whole documents, so a render into it allocates none.
+type arena struct {
+	pooled bool
+
+	root    xmldom.Element
+	school  [1]xmldom.Attr
+	courses slab[xmldom.Node]
+	els     slab[xmldom.Element]
+	texts   slab[xmldom.Text]
+	kids    slab[xmldom.Node]
+	attrs   slab[xmldom.Attr]
+}
+
+// slab hands out runs of T from free, refilling it with an exact-size
+// slab when it runs short. A pooled arena keeps its slabs' buf across
+// renders.
+type slab[T any] struct {
+	buf, free []T
+}
+
+// reuse frees the whole of buf again. A buf too small for n values is
+// first replaced by one for 2n: a scenario's documents hold Size to
+// 2*Size-1 courses, so a slab sized for twice one document's courses
+// holds any of them.
+func (s *slab[T]) reuse(n int) {
+	if len(s.buf) < n {
+		s.buf = make([]T, 2*n)
+	}
+	s.free = s.buf
+}
+
+// take returns the next k values, full-capacity, for the caller to
+// overwrite.
+func (s *slab[T]) take(k int) []T {
+	if len(s.free) < k {
+		s.free = make([]T, k)
+	}
+	t := s.free[:k:k]
+	s.free = s.free[k:]
+	return t
+}
+
+// reset starts a render of school's n courses and returns the root
+// element, with room for the n course elements.
+func (a *arena) reset(n int, school string) *xmldom.Element {
+	if a.pooled {
+		a.courses.reuse(n)
+		a.els.reuse(n * maxCourseEls)
+		a.texts.reuse(n * maxCourseTexts)
+		a.kids.reuse(n * maxCourseKids)
+		a.attrs.reuse(n)
+	}
+	a.school[0] = xmldom.Attr{Name: "school", Value: school}
+	a.root = xmldom.Element{Name: "catalog", Attrs: a.school[:], Children: a.courses.take(n)[:0]}
+	return &a.root
+}
+
+// course builds the element for one course's final fields from the
+// arena's slabs: exactly its elements, text nodes and child slots, so a
+// fresh arena takes three allocations per course however many fields it
+// has.
+func (a *arena) course(tag string, fs []field) *xmldom.Element {
 	nEls, nTexts := 1+len(fs), 0
 	for _, f := range fs {
 		if f.inSection {
@@ -207,15 +274,15 @@ func courseElement(tag string, fs []field) *xmldom.Element {
 			nTexts++
 		}
 	}
-	els := make([]xmldom.Element, nEls)
-	texts := make([]xmldom.Text, nTexts)
-	kids := make([]xmldom.Node, nEls-1+nTexts)
+	els := a.els.take(nEls)
+	texts := a.texts.take(nTexts)
+	kids := a.kids.take(nEls - 1 + nTexts)
 	// elem takes the next element with room for k children; an element
 	// with none keeps a nil child list, as a parsed empty element has.
 	elem := func(name string, k int) *xmldom.Element {
 		e := &els[0]
 		els = els[1:]
-		e.Name = name
+		*e = xmldom.Element{Name: name}
 		if k > 0 {
 			e.Children = kids[:0:k]
 			kids = kids[k:]
@@ -235,14 +302,38 @@ func courseElement(tag string, fs []field) *xmldom.Element {
 		}
 		fe := elem(f.name, k)
 		if f.url != "" {
-			fe.Attrs = []xmldom.Attr{{Name: "url", Value: f.url}}
+			fe.Attrs = a.attrs.take(1)
+			fe.Attrs[0] = xmldom.Attr{Name: "url", Value: f.url}
 		}
 		if f.value != "" {
-			texts[0].Data = f.value
+			texts[0] = xmldom.Text{Data: f.value}
 			fe.Append(&texts[0])
 			texts = texts[1:]
 		}
 		parent.Append(fe)
 	}
 	return course
+}
+
+// poison overwrites every element name, attribute and text of the arena's
+// last document with a sentinel, so a reader that outlives the document's
+// release reads garbage instead of a plausible document.
+func (a *arena) poison() {
+	const sentinel = "\x00released"
+	var walk func(e *xmldom.Element)
+	walk = func(e *xmldom.Element) {
+		e.Name = sentinel
+		for k := range e.Attrs {
+			e.Attrs[k] = xmldom.Attr{Name: sentinel, Value: sentinel}
+		}
+		for _, ch := range e.Children {
+			switch n := ch.(type) {
+			case *xmldom.Element:
+				walk(n)
+			case *xmldom.Text:
+				n.Data = sentinel
+			}
+		}
+	}
+	walk(&a.root)
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -74,20 +75,55 @@ func TestCourseElementSlabs(t *testing.T) {
 			}
 		}
 	}
+	pooled := &arena{pooled: true}
 	for i := 0; i < sc.Sources(); i++ {
 		for _, course := range sc.ChallengeDocument(i).Root.ChildElements() {
+			check(course)
+		}
+		doc, _ := sc.render(i, true, pooled)
+		for _, course := range doc.Root.ChildElements() {
 			check(course)
 		}
 	}
 }
 
-// cellAllocBudget caps the mean allocations of one streaming cell over a
-// uniform scenario: its expected answer plus the mediator's answer, which
-// renders the challenge document, compiles and runs the query and shapes
-// the rows. A cell takes about 515 on two generator walks with slab-built
-// documents; a third walk (about 85 more), or rendering each course node
-// by node (about 1150 in all), blows the budget.
-const cellAllocBudget = 575
+// TestPooledArenaRendersLikeFresh renders a scenario's sources one after
+// another into one pooled arena, so each lands in storage the previous
+// document used, and checks each against a fresh rendering byte for byte.
+func TestPooledArenaRendersLikeFresh(t *testing.T) {
+	sc, err := New(Params{Sources: 36, Seed: 8, Size: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled := &arena{pooled: true}
+	for _, i := range []int{3, 0, 35, 7, 7, 20, 11, 2, 29} {
+		doc, _ := sc.render(i, true, pooled)
+		var got strings.Builder
+		if err := doc.WriteTo(&got, xmldom.WriteOptions{Indent: "  "}); err != nil {
+			t.Fatal(err)
+		}
+		if want := sc.ChallengeXML(i); got.String() != want {
+			t.Fatalf("source %d: pooled rendering differs from a fresh one:\n%s\n--- want ---\n%s", i, got.String(), want)
+		}
+	}
+}
+
+// Budgets for one streaming cell over a uniform scenario: its expected
+// answer plus the mediator's answer, which renders the challenge document
+// into a recycled arena, compiles and runs the query and shapes the rows.
+// A cell takes about 275 allocations and 13 KB. Rendering into a fresh
+// arena per cell (about 330 allocations and 44 KB) blows both budgets, and
+// a slice of instructors per course (about 16.5 KB) the byte budget.
+const (
+	cellAllocBudget = 310
+	cellByteBudget  = 16 << 10
+)
+
+// challengeDocBytes is what ChallengeDocument allocated per document at
+// seed 11, 48 sources, before documents had arenas: a fresh arena must
+// cost no more than per-course slabs did. (One sized like a pooled arena
+// takes about 78 KB.)
+const challengeDocBytes = 34400
 
 func TestCellAllocationBudget(t *testing.T) {
 	sc, err := New(Params{Sources: 48, Seed: 11})
@@ -95,16 +131,46 @@ func TestCellAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	med := sc.NewMediator()
-	perCell := testing.AllocsPerRun(5, func() {
+	cells := func() {
 		for i := 0; i < sc.Sources(); i++ {
 			sc.Truth(i)
 			if _, err := med.Answer(integration.Request{QueryID: i + 1, Challenge: sc.Name(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}) / float64(sc.Sources())
-	t.Logf("%.0f allocations per cell", perCell)
+	}
+	n := float64(sc.Sources())
+	perCell := testing.AllocsPerRun(5, cells) / n
+	bytesPerCell := bytesPerRun(5, cells) / n
+	t.Logf("%.0f allocations and %.0f bytes per cell", perCell, bytesPerCell)
 	if perCell > cellAllocBudget {
 		t.Errorf("%.0f allocations per cell, budget %d", perCell, cellAllocBudget)
 	}
+	if bytesPerCell > cellByteBudget {
+		t.Errorf("%.0f bytes per cell, budget %d", bytesPerCell, cellByteBudget)
+	}
+	perDoc := bytesPerRun(5, func() {
+		for i := 0; i < sc.Sources(); i++ {
+			sc.ChallengeDocument(i)
+		}
+	}) / n
+	t.Logf("%.0f bytes per challenge document", perDoc)
+	if perDoc > challengeDocBytes {
+		t.Errorf("ChallengeDocument allocates %.0f bytes per document, more than the %d of per-course slabs", perDoc, challengeDocBytes)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean bytes allocated
+// by one call of f, after a warm-up call, on one P so no other goroutine's
+// allocations count.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < runs; k++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

@@ -23,9 +23,11 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"thalia/internal/catalog"
 	"thalia/internal/hetero"
@@ -243,11 +245,11 @@ func (sc *Scenario) Index(name string) (int, error) {
 // Case returns the heterogeneity case assigned to source i.
 func (sc *Scenario) Case(i int) hetero.Case {
 	r := sc.sourceRNG(i)
-	return sc.pickCase(r)
+	return sc.pickCase(&r)
 }
 
 // sourceRNG returns source i's deterministic random stream.
-func (sc *Scenario) sourceRNG(i int) *rng { return newRNG(sc.p.Seed, uint64(i)) }
+func (sc *Scenario) sourceRNG(i int) rng { return newRNG(sc.p.Seed, uint64(i)) }
 
 // pickCase draws the source's case from the weighted mix. It must be the
 // stream's FIRST draw so Case(i) and gen(i) agree.
@@ -266,10 +268,12 @@ func (sc *Scenario) pickCase(r *rng) hetero.Case {
 // freshly generated on every call (regeneration is the streaming model's
 // memory bound) and safe to retain or mutate.
 func (sc *Scenario) Courses(i int) []catalog.Course {
-	w := sc.walk(i)
+	w := sc.walk(i, false)
 	cs := make([]catalog.Course, 0, w.n)
 	for w.more() {
-		cs = append(cs, w.next())
+		c := w.next()
+		c.Instructors = slices.Clone(c.Instructors) // the walk reuses its buffer
+		cs = append(cs, c)
 	}
 	return cs
 }
@@ -281,8 +285,8 @@ func (sc *Scenario) Courses(i int) []catalog.Course {
 type rng struct{ state uint64 }
 
 // newRNG derives the stream for one (seed, source) pair.
-func newRNG(seed int64, stream uint64) *rng {
-	return &rng{state: uint64(seed)*0x9e3779b97f4a7c15 + stream*0xbf58476d1ce4e5b9 + 1}
+func newRNG(seed int64, stream uint64) rng {
+	return rng{state: uint64(seed)*0x9e3779b97f4a7c15 + stream*0xbf58476d1ce4e5b9 + 1}
 }
 
 // next advances the splitmix64 state and returns 64 mixed bits.
@@ -330,13 +334,24 @@ var firstNames = [...]string{"Mark", "Rita", "Hana", "Joachim", "Ling", "Sara", 
 var lastNames = [...]string{"Hall", "Wong", "Schmidt", "Okafor", "Iyer", "Novak", "Baker", "Lindqvist"}
 
 // buildings each carry the space that separates them from a room number.
-var buildings = []string{"Hall ", "Weil ", "Benton ", "CSE "}
+var buildings = [...]string{"Hall ", "Weil ", "Benton ", "CSE "}
 
-var dayPool = []string{"MWF", "TTh", "MW", "F", "TTh"}
+var dayPool = [...]string{"MWF", "TTh", "MW", "F", "TTh"}
 
-var semesters = []string{"Fall 2003", "Winter 2004", "Spring 2004"}
+var semesters = [...]string{"Fall 2003", "Winter 2004", "Spring 2004"}
 
-var restricts = []string{"JR or SR", "SR", "FR, SO", "GR", "JR"}
+var restricts = [...]string{"JR or SR", "SR", "FR, SO", "GR", "JR"}
+
+// Meetings start on the half hour from firstStart, in one of startSlots
+// slots, and last one of durations; rooms are numbered from 100 in
+// roomNumbers steps.
+const (
+	firstStart  = 8 * 60 // 08:00
+	startSlots  = 18     // 08:00 .. 16:30
+	roomNumbers = 300
+)
+
+var durations = [...]int{50, 80}
 
 // vocab spells every title, German title, textbook and instructor name the
 // pools combine into once, so generated courses share these strings
@@ -370,37 +385,98 @@ func numbered(prefix string, n int) string {
 	return string(strconv.AppendInt(append(b[:0], prefix...), int64(n), 10))
 }
 
+// spellings holds the strings the generator draws from bounded domains, so
+// courses share them instead of spelling fresh copies: by course index
+// (below 2*MaxSize), each course's title link, whose tail is its number
+// and any later course's prerequisite, and the comment naming it as a
+// prerequisite; every room; and every meeting's time range.
+type spellings struct {
+	links, prereqComments [2 * MaxSize]string
+	rooms                 [len(buildings)][roomNumbers]string
+	ranges                [startSlots][len(durations)]clockRange
+}
+
+// clockRange is a meeting's time range on the 24-hour and 12-hour clocks.
+type clockRange struct{ h24, h12 string }
+
+// spelled builds the spellings once per process, on first use: a process
+// that never generates a scenario spells none of them.
+var spelled = sync.OnceValue(func() *spellings {
+	s := new(spellings)
+	for j := range s.links {
+		s.links[j] = numbered(courseURL+"CS", 100+j)
+		s.prereqComments[j] = "Prerequisite: " + s.links[j][len(courseURL):] + " required."
+	}
+	for b, building := range buildings {
+		for k := range s.rooms[b] {
+			s.rooms[b][k] = numbered(building, 100+k)
+		}
+	}
+	for slot := range s.ranges {
+		for d, dur := range durations {
+			start := firstStart + 30*slot
+			var b [16]byte
+			h24 := append(catalog.AppendClock24(b[:0], start), '-')
+			s.ranges[slot][d] = clockRange{
+				h24: string(catalog.AppendClock24(h24, start+dur)),
+				h12: catalog.Clock12(start) + "-" + catalog.Clock12(start+dur),
+			}
+		}
+	}
+	return s
+})
+
+// meeting returns the time range of generated course c's meeting.
+func meeting(c *catalog.Course) clockRange {
+	d := 0
+	if c.End-c.Start == durations[1] {
+		d = 1
+	}
+	return spelled().ranges[(c.Start-firstStart)/30][d]
+}
+
 // walk is one pass over source i's stream: the case and the course count
 // are drawn when it starts, and each next call generates the following
 // course. The first course is the planted one that anchors the query, so
-// spec is complete from the first next call on. Everything derives from
-// the source's splitmix64 stream, so every walk of a source is identical;
-// a consumer takes one walk and renders, scores or collects as it goes,
-// never holding the course list.
+// spec is complete from the first next call on; its query texts are
+// spelled only when the walk was started with texts set. Everything
+// derives from the source's splitmix64 stream, so every walk of a source
+// is identical; a consumer takes one walk and renders, scores or collects
+// as it goes, never holding the course list.
 type walk struct {
-	sc   *Scenario
-	i    int
-	r    *rng
-	cse  hetero.Case
-	n, j int
-	spec QuerySpec
+	source string // the source's name
+	r      rng
+	cse    hetero.Case
+	n, j   int
+	texts  bool
+	spec   QuerySpec
+
+	// instr holds the current course's instructors: a course is valid
+	// until the next call to next.
+	instr [2]catalog.Instructor
 }
 
-// walk starts a pass over source i's stream.
-func (sc *Scenario) walk(i int) *walk {
-	r := sc.sourceRNG(i)
-	cse := sc.pickCase(r)
-	return &walk{sc: sc, i: i, r: r, cse: cse, n: sc.p.Size + r.intn(sc.p.Size)}
+// walk starts a pass over source i's stream; texts asks for the spec's
+// query texts as well as its parameters.
+func (sc *Scenario) walk(i int, texts bool) *walk {
+	w := &walk{source: sc.Name(i), r: sc.sourceRNG(i), texts: texts}
+	w.cse = sc.pickCase(&w.r)
+	w.n = sc.p.Size + w.r.intn(sc.p.Size)
+	return w
 }
 
 // more reports whether the source has courses left.
 func (w *walk) more() bool { return w.j < w.n }
 
-// next generates the source's next course.
+// next generates the source's next course, valid until the following
+// call.
 func (w *walk) next() catalog.Course {
-	c := genCourse(w.r, w.cse, w.j)
+	c := w.genCourse()
 	if w.j == 0 {
-		w.spec = w.sc.buildSpec(w.i, w.cse, &c)
+		w.spec = newSpec(w.source, w.cse, &c)
+		if w.texts {
+			w.spec.spellQueries()
+		}
 	}
 	w.j++
 	return c
@@ -416,14 +492,16 @@ func courseSubject(c *catalog.Course) int {
 	return 0
 }
 
-// genCourse draws one course from the stream. The planted course (j==0)
-// anchors the source's query parameters, so a few case-specific guarantees
-// are forced there: a set-valued instructor list for case 10, a present
-// textbook for case 6 (with j==1 forced empty so both null flavors exist).
-func genCourse(r *rng, cse hetero.Case, j int) catalog.Course {
+// genCourse draws the walk's next course from the stream. The planted
+// course (j==0) anchors the source's query parameters, so a few
+// case-specific guarantees are forced there: a set-valued instructor list
+// for case 10, a present textbook for case 6 (with j==1 forced empty so
+// both null flavors exist).
+func (w *walk) genCourse() catalog.Course {
+	r, cse, j, words := &w.r, w.cse, w.j, spelled()
 	si := r.intn(len(subjects))
 	pi := r.intn(len(titlePrefixes))
-	url := numbered(courseURL+"CS", 100+j)
+	url := words.links[j]
 
 	nInstr := 1 + r.intn(2)
 	if cse == hetero.AttributeNameDoesNotDefineSemantics {
@@ -432,24 +510,22 @@ func genCourse(r *rng, cse hetero.Case, j int) catalog.Course {
 	if cse == hetero.HandlingSets && j == 0 {
 		nInstr = 2 // the planted course must exercise the set
 	}
-	instructors := make([]catalog.Instructor, nInstr)
+	instructors := w.instr[:nInstr]
 	for k := range instructors {
 		f := r.intn(len(firstNames))
 		instructors[k] = catalog.Instructor{Name: vocab.names[f][r.intn(len(lastNames))]}
 	}
 
-	start := 8*60 + 30*r.intn(18) // 08:00 .. 16:30
-	dur := 50
-	if r.intn(2) == 1 {
-		dur = 80
-	}
+	start := firstStart + 30*r.intn(startSlots)
+	dur := durations[r.intn(len(durations))]
 
 	credits := 1 + r.intn(4)
 	prereq := "None"
 	comment := "No prerequisite required."
 	if r.intn(2) == 1 && j > 0 {
-		prereq = numbered("CS", 100+r.intn(j))
-		comment = "Prerequisite: " + prereq + " required."
+		k := r.intn(j)
+		prereq = words.links[k][len(courseURL):]
+		comment = words.prereqComments[k]
 	}
 
 	textbook := ""
@@ -477,7 +553,7 @@ func genCourse(r *rng, cse hetero.Case, j int) catalog.Course {
 		Days:        dayPool[r.intn(len(dayPool))],
 		Start:       start,
 		End:         start + dur,
-		Room:        numbered(buildings[r.intn(len(buildings))], 100+r.intn(300)),
+		Room:        words.rooms[r.intn(len(buildings))][r.intn(roomNumbers)],
 		Credits:     credits,
 		Prereq:      prereq,
 		Textbook:    textbook,

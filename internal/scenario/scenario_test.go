@@ -321,3 +321,33 @@ func TestQuerySpecStable(t *testing.T) {
 		}
 	}
 }
+
+// TestCoursesKeepTheirInstructors checks that the courses Courses returns
+// outlive the walk that generated them: each keeps the instructors its
+// reference document element lists, though a walk generates every
+// course's instructors into one buffer.
+func TestCoursesKeepTheirInstructors(t *testing.T) {
+	sc, err := New(Params{Sources: 6, Seed: 4, Size: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < sc.Sources(); i++ {
+		courses := sc.Courses(i)
+		els := sc.ReferenceDocument(i).Root.ChildElements()
+		if len(courses) != len(els) {
+			t.Fatalf("source %d: %d courses, %d course elements", i, len(courses), len(els))
+		}
+		for k, c := range courses {
+			var want, got []string
+			for _, in := range els[k].ChildrenNamed("instructor") {
+				want = append(want, in.Text())
+			}
+			for _, in := range c.Instructors {
+				got = append(got, in.Name)
+			}
+			if strings.Join(got, "; ") != strings.Join(want, "; ") {
+				t.Errorf("source %d course %d: instructors %q, want %q", i, k, got, want)
+			}
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"os"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"thalia/internal/benchmark"
 	"thalia/internal/faultline"
 	"thalia/internal/telemetry"
+	"thalia/internal/xmldom"
 )
 
 // streamHeapCeiling is the live-heap growth budget for the 5000-source
@@ -79,6 +82,87 @@ func TestStreamingMemoryBounded(t *testing.T) {
 	if grew := int64(peak.Load()) - int64(before.HeapAlloc); grew > streamHeapCeiling {
 		t.Errorf("peak live heap grew %d MB, budget %d MB: documents are accumulating",
 			grew>>20, int64(streamHeapCeiling)>>20)
+	}
+}
+
+// TestStreamingDigestPinned pins the streaming scorecard of a 500-source
+// uniform scenario at seed 42 to a committed digest at pools 1, 2 and 8,
+// once as the runner streams it and once with released arenas poisoned. A
+// cell that read its document after the last Release, or a recycled arena
+// that rendered differently from a fresh one, would move the digest.
+func TestStreamingDigestPinned(t *testing.T) {
+	golden, err := os.ReadFile("testdata/stream500.digest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.TrimSpace(string(golden))
+	for _, poison := range []bool{false, true} {
+		for _, pool := range []int{1, 2, 8} {
+			sc, err := New(Params{Sources: 500, Seed: 42})
+			if err != nil {
+				t.Fatal(err)
+			}
+			med := sc.NewMediator()
+			med.docs.poison = poison
+			r := benchmark.NewStreamingRunner(sc.Queries())
+			r.Concurrency = pool
+			cards, err := r.EvaluateAll(med)
+			if err != nil {
+				t.Fatalf("pool %d, poison %v: %v", pool, poison, err)
+			}
+			if got := benchmark.ScorecardDigest(cards); got != want {
+				t.Errorf("pool %d, poison %v: scorecard digest %s, want %s", pool, poison, got, want)
+			}
+		}
+	}
+}
+
+// TestReleasedDocumentPoisoned checks the poison itself: after the last
+// Release, every element name and text of the document is the sentinel,
+// and the next Acquire renders a whole document into the recycled arena.
+func TestReleasedDocumentPoisoned(t *testing.T) {
+	sc, err := New(Params{Sources: 4, Seed: 3, Size: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := NewDocSource(sc)
+	ds.poison = true
+	want := sc.ChallengeXML(1)
+	doc, _ := ds.Acquire(1)
+	ds.Acquire(1)
+	ds.Release(1)
+	if doc.Root.Name != "catalog" {
+		t.Fatalf("document poisoned while a reference is held: root %q", doc.Root.Name)
+	}
+	ds.Release(1)
+	var check func(e *xmldom.Element)
+	check = func(e *xmldom.Element) {
+		if !strings.Contains(e.Name, "released") {
+			t.Fatalf("released element keeps its name %q", e.Name)
+		}
+		for _, ch := range e.Children {
+			switch n := ch.(type) {
+			case *xmldom.Element:
+				check(n)
+			case *xmldom.Text:
+				if !strings.Contains(n.Data, "released") {
+					t.Fatalf("released text keeps its data %q", n.Data)
+				}
+			}
+		}
+	}
+	check(doc.Root)
+	again, _ := ds.Acquire(1)
+	defer ds.Release(1)
+	if again.Root != doc.Root {
+		t.Errorf("the next Acquire did not render into the recycled arena")
+	}
+	var got strings.Builder
+	if err := again.WriteTo(&got, xmldom.WriteOptions{Indent: "  "}); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want {
+		t.Errorf("document rendered into a poisoned arena differs:\n%s\n--- want ---\n%s", got.String(), want)
 	}
 }
 

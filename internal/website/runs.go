@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
@@ -250,12 +251,10 @@ type runSpec struct {
 	seed        int64
 }
 
-func parseRunSpec(r *http.Request) (runSpec, error) {
+// parseRunSpec reads a POST /runs request's parsed form.
+func parseRunSpec(form url.Values) (runSpec, error) {
 	spec := runSpec{}
-	if err := r.ParseForm(); err != nil {
-		return spec, err
-	}
-	names := r.Form["system"]
+	names := form["system"]
 	if len(names) == 0 {
 		names = []string{"cohera", "iwiz", "mediator", "declarative"}
 	}
@@ -274,14 +273,14 @@ func parseRunSpec(r *http.Request) (runSpec, error) {
 		}
 		spec.systems = append(spec.systems, sys)
 	}
-	if v := r.Form.Get("concurrency"); v != "" {
+	if v := form.Get("concurrency"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 || n > 64 {
 			return spec, fmt.Errorf("concurrency must be 0-64")
 		}
 		spec.concurrency = n
 	}
-	if v := r.Form.Get("chaos"); v != "" {
+	if v := form.Get("chaos"); v != "" {
 		seed, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
 			return spec, fmt.Errorf("chaos must be an integer seed")
@@ -370,7 +369,10 @@ func (rm *runManager) list() []*run {
 func (s *Site) runsIndex(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		spec, err := parseRunSpec(r)
+		if !parsePostForm(w, r) {
+			return
+		}
+		spec, err := parseRunSpec(r.Form)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

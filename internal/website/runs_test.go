@@ -567,6 +567,12 @@ func TestRunsBadRequests(t *testing.T) {
 			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/runs", nil)
 			return http.DefaultClient.Do(req)
 		}, http.StatusMethodNotAllowed},
+		{"oversized run body", func() (*http.Response, error) {
+			return http.PostForm(ts.URL+"/runs", url.Values{"system": {"cohera"}, "pad": {strings.Repeat("x", 100<<10)}})
+		}, http.StatusRequestEntityTooLarge},
+		{"oversized run-benchmark body", func() (*http.Response, error) {
+			return http.PostForm(ts.URL+"/run-benchmark", url.Values{"system": {"iwiz"}, "pad": {strings.Repeat("x", 100<<10)}})
+		}, http.StatusRequestEntityTooLarge},
 	} {
 		resp, err := tc.do()
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"archive/zip"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"html"
 	"io"
@@ -448,12 +449,35 @@ func (s *Site) downloadSolutions(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// Limits on what one request may make the site read or keep: a POST body
+// (larger ones get 413), and a score upload's system and group names.
+const (
+	maxBodyBytes = 64 << 10
+	maxNameBytes = 200
+)
+
+// parsePostForm parses r's form from a body of at most maxBodyBytes. It
+// answers 413 for a larger body and 400 for a malformed one, and reports
+// whether the handler may go on.
+func parsePostForm(w http.ResponseWriter, r *http.Request) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if err := r.ParseForm(); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
+		return false
+	}
+	return true
+}
+
 // scores accepts uploaded benchmark scores (POST system, group, correct,
 // complexity) and shows the upload form on GET.
 func (s *Site) scores(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost {
-		if err := r.ParseForm(); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !parsePostForm(w, r) {
 			return
 		}
 		system := strings.TrimSpace(r.Form.Get("system"))
@@ -462,6 +486,10 @@ func (s *Site) scores(w http.ResponseWriter, r *http.Request) {
 		complexity, err2 := strconv.Atoi(r.Form.Get("complexity"))
 		if system == "" || err1 != nil || err2 != nil || correct < 0 || correct > 12 || complexity < 0 {
 			http.Error(w, "invalid score upload: need system, group, correct (0-12), complexity (>=0)", http.StatusBadRequest)
+			return
+		}
+		if len(system) > maxNameBytes || len(group) > maxNameBytes {
+			http.Error(w, fmt.Sprintf("invalid score upload: system and group are at most %d bytes", maxNameBytes), http.StatusBadRequest)
 			return
 		}
 		s.mu.Lock()
@@ -500,8 +528,7 @@ System:
 </form>`)
 		return
 	}
-	if err := r.ParseForm(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !parsePostForm(w, r) {
 		return
 	}
 	sys, ok := systemByName(r.Form.Get("system"))

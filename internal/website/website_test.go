@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -184,15 +185,55 @@ func TestScoreUploadAndHonorRoll(t *testing.T) {
 	if !strings.Contains(body, "MySys") || !strings.Contains(body, "7/12") {
 		t.Errorf("honor roll missing upload: %s", body)
 	}
-	// Invalid uploads are rejected.
-	bad := url.Values{"system": {""}, "correct": {"99"}, "complexity": {"x"}}
-	req = httptest.NewRequest(http.MethodPost, "/scores", strings.NewReader(bad.Encode()))
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("bad upload status %d", rec.Code)
+	// Invalid uploads are rejected: bad fields, a name longer than 200
+	// bytes, a body over 64 KiB.
+	for _, tc := range []struct {
+		name string
+		form url.Values
+		want int
+	}{
+		{"bad fields", url.Values{"system": {""}, "correct": {"99"}, "complexity": {"x"}}, http.StatusBadRequest},
+		{"long system", url.Values{"system": {strings.Repeat("s", 201)}, "group": {"g"}, "correct": {"1"}, "complexity": {"1"}}, http.StatusBadRequest},
+		{"long group", url.Values{"system": {"s"}, "group": {strings.Repeat("g", 201)}, "correct": {"1"}, "complexity": {"1"}}, http.StatusBadRequest},
+		{"oversized body", url.Values{"system": {strings.Repeat("s", 100<<10)}, "group": {"g"}, "correct": {"1"}, "complexity": {"1"}}, http.StatusRequestEntityTooLarge},
+	} {
+		if code := postScore(h, tc.form); code != tc.want {
+			t.Errorf("%s: upload status %d, want %d", tc.name, code, tc.want)
+		}
 	}
+	// The roll keeps its 1000 best: after 1001 uploads to a fresh site the
+	// one lowest-ranked upload is gone.
+	site := New()
+	h = site.Handler()
+	for k := 0; k < 1001; k++ {
+		correct := "12"
+		if k == 500 {
+			correct = "0"
+		}
+		form := url.Values{"system": {"sys" + strconv.Itoa(k)}, "group": {"g"}, "correct": {correct}, "complexity": {"1"}}
+		if code := postScore(h, form); code != http.StatusSeeOther {
+			t.Fatalf("upload %d: status %d", k, code)
+		}
+	}
+	site.mu.Lock()
+	defer site.mu.Unlock()
+	if n := len(site.roll.Entries); n != 1000 {
+		t.Fatalf("honor roll holds %d entries after 1001 uploads, want 1000", n)
+	}
+	for _, e := range site.roll.Entries {
+		if e.System == "sys500" {
+			t.Errorf("the lowest-ranked upload is still on the roll")
+		}
+	}
+}
+
+// postScore uploads one score form and returns the response status.
+func postScore(h http.Handler, form url.Values) int {
+	req := httptest.NewRequest(http.MethodPost, "/scores", strings.NewReader(form.Encode()))
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec.Code
 }
 
 func TestRunBenchmarkEndpoint(t *testing.T) {
