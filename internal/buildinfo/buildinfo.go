@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sync"
 )
 
 // Info is the build metadata of the running binary.
@@ -24,14 +25,17 @@ type Info struct {
 }
 
 // Read returns the binary's build metadata. It never fails: binaries built
-// without build info (some test binaries) report version "unknown".
-func Read() Info {
+// without build info (some test binaries) report version "unknown". The
+// embedded record is parsed once per process, on the first call.
+func Read() Info { return read() }
+
+var read = sync.OnceValue(func() Info {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
 		return Info{Version: "unknown", GoVersion: runtime.Version()}
 	}
 	return fromDebug(bi)
-}
+})
 
 // fromDebug extracts Info from an already-read build record.
 func fromDebug(bi *debug.BuildInfo) Info {

@@ -16,6 +16,19 @@ func TestReadNeverFails(t *testing.T) {
 	}
 }
 
+// /healthz and every journal run_start read the build info, so it is
+// parsed once: a later Read allocates nothing.
+func TestReadOncePerProcess(t *testing.T) {
+	first := Read()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if Read() != first {
+			t.Fatal("Read changed between calls")
+		}
+	}); allocs != 0 {
+		t.Errorf("a repeated Read allocated %.0f times, want 0", allocs)
+	}
+}
+
 func TestFromDebugRevisionStamping(t *testing.T) {
 	bi := &debug.BuildInfo{GoVersion: "go1.22.0"}
 	bi.Main.Version = "v1.4.0"

@@ -1,8 +1,10 @@
-// Package explain records a hierarchical, low-overhead trace of a single
-// benchmark query evaluation: operator-level spans from the XQuery
-// evaluator (FLWOR clauses, path steps, function calls, constructors) and
-// provenance events from the integration systems (which mapping fired,
-// which warehouse or SQL view answered, which transform was charged). The
+// Package explain is the program's one span model. Its main use is a
+// hierarchical, low-overhead trace of a single benchmark query evaluation:
+// operator-level spans from the XQuery evaluator (FLWOR clauses, path
+// steps, function calls, constructors) and provenance events from the
+// integration systems (which mapping fired, which warehouse or SQL view
+// answered, which transform was charged). The web site records each HTTP
+// request as a one-node Trace of kind request, under the request's ID. An
 // assembled Trace renders as an indented text plan, JSON, and a one-line
 // digest — the diagnostic companion to the scorecard's pass/fail verdict.
 //
@@ -35,7 +37,11 @@ type Kind string
 // The span/event vocabulary. Spans have duration (operators, system calls);
 // events are instantaneous provenance marks attached to the open span.
 const (
-	// KindEval is the root span: one query evaluated against one system.
+	// KindRequest is the root of a web site request's trace: one HTTP
+	// request, from the site's observer.
+	KindRequest Kind = "request"
+	// KindEval is the root span of a cell's trace: one query evaluated
+	// against one system.
 	KindEval Kind = "eval"
 	// KindAnswer is a system's Answer call for one request.
 	KindAnswer Kind = "answer"
@@ -92,13 +98,12 @@ func A(key, value string) Attr { return Attr{Key: key, Value: value} }
 // zero value is not useful; construct with NewRecorder. A nil *Recorder is
 // the disabled state: every method no-ops without allocating.
 type Recorder struct {
-	mu      sync.Mutex
-	root    *Span
-	cur     *Span
-	sealed  bool
-	traceID string
-	spans   int
-	events  int
+	mu     sync.Mutex
+	root   *Span
+	cur    *Span
+	sealed bool
+	spans  int
+	events int
 }
 
 // NewRecorder returns an empty recorder ready to record one evaluation.
@@ -172,18 +177,6 @@ func (r *Recorder) Event(kind Kind, name string, attrs ...Attr) {
 		r.root.children = append(r.root.children, s)
 	}
 	r.events++
-}
-
-// SetTraceID links the trace to an external identifier — the website stamps
-// the telemetry tracer's ID here so /debug/explain traces can be correlated
-// with /debug/traces. Safe on a nil receiver.
-func (r *Recorder) SetTraceID(id string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.traceID = id
-	r.mu.Unlock()
 }
 
 // Seal stops the recorder: subsequent Begin/Event/End calls are dropped.
@@ -271,9 +264,11 @@ func (s *Span) With(key, value string) *Span {
 	return s
 }
 
-// Trace is the assembled, immutable form of a recording.
+// Trace is the assembled, immutable form of a recording, or of one web
+// site request, which the site builds directly as a single node.
 type Trace struct {
-	// TraceID is the linked telemetry trace ID, when set.
+	// TraceID is the ID of the web site request the trace belongs to (its
+	// X-Request-ID), when set.
 	TraceID string `json:"trace_id,omitempty"`
 	// Spans and Events count the recorded nodes of each flavor.
 	Spans  int   `json:"spans"`
@@ -308,7 +303,7 @@ func (r *Recorder) Trace() *Trace {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.sealNowLocked(time.Now())
-	t := &Trace{TraceID: r.traceID, Spans: r.spans, Events: r.events}
+	t := &Trace{Spans: r.spans, Events: r.events}
 	if r.root != nil {
 		t.Root = snapshot(r.root)
 	}

@@ -143,7 +143,6 @@ func TestLeafNanos(t *testing.T) {
 
 func TestRenderings(t *testing.T) {
 	rec := NewRecorder()
-	rec.SetTraceID("0000002a")
 	root := rec.Begin(KindEval, "q03 Cohera", A("hetero", "Union Data Types"))
 	sql := rec.Begin(KindSQL, "SELECT num FROM umd")
 	sql.SetRows(-1, 4)
@@ -151,9 +150,10 @@ func TestRenderings(t *testing.T) {
 	rec.Event(KindMapping, "view g_umd_sections")
 	root.End()
 	tr := rec.Trace()
+	tr.TraceID = "r0000042"
 
 	text := tr.Text()
-	for _, want := range []string{"trace 0000002a", "eval: q03 Cohera", "hetero=Union Data Types", "[out=4]", "* mapping: view g_umd_sections"} {
+	for _, want := range []string{"trace r0000042", "eval: q03 Cohera", "hetero=Union Data Types", "[out=4]", "* mapping: view g_umd_sections"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("Text() missing %q:\n%s", want, text)
 		}
@@ -174,7 +174,7 @@ func TestRenderings(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatalf("JSON round-trip: %v", err)
 	}
-	if back.TraceID != "0000002a" || back.Root.Kind != KindEval {
+	if back.TraceID != "r0000042" || back.Root.Kind != KindEval {
 		t.Errorf("JSON round-trip lost data: %+v", back)
 	}
 }
@@ -224,7 +224,6 @@ func TestNilRecorderZeroAllocations(t *testing.T) {
 		s.SetRows(1, 1)
 		s.With("k", "v")
 		rec.Event(KindDoc, "d.xml")
-		rec.SetTraceID("x")
 		s.End()
 		rec.Seal()
 		_ = rec.Trace()

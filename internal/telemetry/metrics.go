@@ -1,7 +1,7 @@
-// Package telemetry is the reproduction's hand-rolled observability layer:
-// a dependency-free metrics registry (atomic counters, gauges, fixed-bucket
-// latency histograms with quantile estimation, labeled series) and a
-// lightweight span tracer with a ring buffer of recent traces.
+// Package telemetry is the reproduction's hand-rolled metrics layer: a
+// dependency-free registry of atomic counters, gauges and fixed-bucket
+// latency histograms with quantile estimation, all labeled series. Spans
+// are not kept here: the program has one span model, package explain.
 //
 // THALIA is a measurement harness, so the harness itself must be
 // measurable: the benchmark engine records per-cell queue-wait and

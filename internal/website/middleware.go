@@ -6,8 +6,10 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
+	"thalia/internal/explain"
 	"thalia/internal/telemetry"
 )
 
@@ -37,7 +39,7 @@ func chain(h http.Handler, mws ...middleware) http.Handler {
 }
 
 // statusWriter captures the response status code (and whether a body write
-// already implied 200) so logging and metrics middleware can see it.
+// already implied 200) so the observer and the load shedder can see it.
 type statusWriter struct {
 	http.ResponseWriter
 	code int
@@ -104,65 +106,77 @@ func routeLabel(path string) string {
 	return "unmatched"
 }
 
-// requestID stamps every request with a process-local sequential ID,
-// exposed as the X-Request-ID response header and reused by the access log
-// so one request can be followed across log lines, traces and clients.
-func (s *Site) requestID() middleware {
+// requestIDHeader names the response header that carries a request's ID.
+// It is spelled in canonical form, so setting and reading it need no
+// canonicalized copy of the name.
+const requestIDHeader = "X-Request-Id"
+
+// observe is the site's one request observer, the outermost middleware. It
+// gives each request a process-local sequential ID, sent as the
+// X-Request-ID response header, and times the request once. When the
+// handler returns it writes, under that ID, the access-log record, the
+// per-route metrics and an explain trace kept for /debug/traces.
+func (s *Site) observe() middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			id := fmt.Sprintf("r%08d", s.nextReqID.Add(1))
-			w.Header().Set("X-Request-ID", id)
-			r.Header.Set("X-Request-ID", id)
-			next.ServeHTTP(w, r)
-		})
-	}
-}
-
-// accessLog emits one structured record per finished request: request ID,
-// method, path, normalized route, status and duration.
-func (s *Site) accessLog() middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			sw := &statusWriter{ResponseWriter: w}
-			start := time.Now()
-			next.ServeHTTP(sw, r)
-			s.logger.LogAttrs(r.Context(), slog.LevelInfo, logMsgRequest,
-				slog.String("id", r.Header.Get("X-Request-ID")),
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.String("route", routeLabel(r.URL.Path)),
-				slog.Int("status", sw.status()),
-				slog.Duration("duration", time.Since(start)))
-		})
-	}
-}
-
-// httpMetrics records per-route latency and status counts into the site
-// registry and a span per request into the site tracer.
-func (s *Site) httpMetrics() middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			route := routeLabel(r.URL.Path)
+			w.Header().Set(requestIDHeader, id)
 			inFlight := s.metrics.Gauge(MetricHTTPInFlight)
 			inFlight.Inc()
-			span := s.tracer.Start(r.Method+" "+route, telemetry.L("path", r.URL.Path))
-			// The telemetry trace ID travels both ways: clients see it on
-			// the response, downstream handlers (/debug/explain) read it
-			// from the request to link explain traces to this span.
-			w.Header().Set("X-Trace-ID", span.TraceID())
-			r.Header.Set("X-Trace-ID", span.TraceID())
 			sw := &statusWriter{ResponseWriter: w}
 			start := time.Now()
 			next.ServeHTTP(sw, r)
 			d := time.Since(start)
 			inFlight.Dec()
-			span.SetAttr("status", strconv.Itoa(sw.status()))
-			span.End()
+			route, status := routeLabel(r.URL.Path), sw.status()
+			code := strconv.Itoa(status)
+			s.logger.LogAttrs(r.Context(), slog.LevelInfo, logMsgRequest,
+				slog.String("id", id),
+				slog.String("method", r.Method),
+				slog.String("path", r.URL.Path),
+				slog.String("route", route),
+				slog.Int("status", status),
+				slog.Duration("duration", d))
 			s.metrics.Counter(MetricHTTPRequests,
-				telemetry.L("route", route), telemetry.L("code", strconv.Itoa(sw.status()))).Inc()
+				telemetry.L("route", route), telemetry.L("code", code)).Inc()
 			s.metrics.Histogram(MetricHTTPLatency, telemetry.L("route", route)).ObserveDuration(d)
+			s.traces.add(&explain.Trace{TraceID: id, Spans: 1, Root: &explain.Node{
+				Kind:       explain.KindRequest,
+				Name:       r.Method + " " + route,
+				DurationNS: d.Nanoseconds(),
+				Attrs:      []explain.Attr{explain.A("path", r.URL.Path), explain.A("status", code)},
+			}})
 		})
 	}
+}
+
+// traceRingSize is how many request traces /debug/traces keeps.
+const traceRingSize = 128
+
+// traceRing keeps the site's most recent request traces in a fixed ring,
+// so /debug/traces holds bounded memory however long the site runs.
+type traceRing struct {
+	mu    sync.Mutex
+	buf   [traceRingSize]*explain.Trace
+	added int // traces added so far; the next one goes to buf[added%traceRingSize]
+}
+
+func (t *traceRing) add(tr *explain.Trace) {
+	t.mu.Lock()
+	t.buf[t.added%traceRingSize] = tr
+	t.added++
+	t.mu.Unlock()
+}
+
+// recent returns up to n of the kept traces, newest first.
+func (t *traceRing) recent(n int) []*explain.Trace {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]*explain.Trace, min(n, t.added, traceRingSize))
+	for i := range out {
+		out[i] = t.buf[(t.added-1-i)%traceRingSize]
+	}
+	return out
 }
 
 // recoverPanics converts a handler panic into a 500 response and a
@@ -175,7 +189,7 @@ func (s *Site) recoverPanics() middleware {
 				if v := recover(); v != nil {
 					s.metrics.Counter(MetricHTTPPanics).Inc()
 					s.logger.LogAttrs(r.Context(), slog.LevelError, logMsgPanic,
-						slog.String("id", r.Header.Get("X-Request-ID")),
+						slog.String("id", w.Header().Get(requestIDHeader)),
 						slog.String("method", r.Method),
 						slog.String("path", r.URL.Path),
 						slog.Any("value", v))
@@ -190,6 +204,3 @@ func (s *Site) recoverPanics() middleware {
 // Metrics returns the site's metrics registry — shared by the HTTP
 // middleware and the server-side benchmark runs, and exposed at /metrics.
 func (s *Site) Metrics() *telemetry.Registry { return s.metrics }
-
-// Tracer returns the site's span tracer, exposed at /debug/traces.
-func (s *Site) Tracer() *telemetry.Tracer { return s.tracer }

@@ -3,12 +3,16 @@ package website
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"thalia/internal/explain"
 	"thalia/internal/telemetry"
 )
 
@@ -34,7 +38,7 @@ func TestPanicRecovery(t *testing.T) {
 	// Hang a panicking route onto a copy of the site's middleware stack.
 	bomb := chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
-	}), s.requestID(), s.accessLog(), s.httpMetrics(), s.recoverPanics())
+	}), s.observe(), s.recoverPanics())
 
 	req := httptest.NewRequest(http.MethodGet, "/catalogs", nil)
 	rec := httptest.NewRecorder()
@@ -51,8 +55,12 @@ func TestPanicRecovery(t *testing.T) {
 	if panics != 1 {
 		t.Errorf("%s = %d, want 1", MetricHTTPPanics, panics)
 	}
-	if recs := logRecords(t, &logBuf); len(recs) != 2 || recs[0].Msg != "panic" || recs[0].Value != "kaboom" {
-		t.Errorf("panic not logged: %q", logBuf.String())
+	recs := logRecords(t, &logBuf)
+	if len(recs) != 2 || recs[0].Msg != "panic" || recs[0].Value != "kaboom" {
+		t.Fatalf("panic not logged before the request record: %q", logBuf.String())
+	}
+	if id := rec.Header().Get("X-Request-ID"); recs[0].ID != id || recs[1].ID != id {
+		t.Errorf("panic id %q and request id %q, want both %q", recs[0].ID, recs[1].ID, id)
 	}
 	// The 500 is still counted as a request on the route.
 	found := false
@@ -210,28 +218,172 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-func TestDebugTraces(t *testing.T) {
-	h := New().Handler()
-	get(t, h, "/catalogs")
-	get(t, h, "/queries")
-	rec, body := get(t, h, "/debug/traces?n=1")
+// debugTraces GETs /debug/traces with the given query and decodes it.
+func debugTraces(t *testing.T, h http.Handler, query string) []explain.Trace {
+	t.Helper()
+	rec, body := get(t, h, "/debug/traces"+query)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("traces: %d", rec.Code)
+		t.Fatalf("traces%s: %d", query, rec.Code)
 	}
 	var v struct {
-		Traces []telemetry.Trace `json:"traces"`
+		Traces []explain.Trace `json:"traces"`
 	}
 	if err := json.Unmarshal([]byte(body), &v); err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Traces) != 1 {
-		t.Fatalf("traces = %d, want 1 (n=1)", len(v.Traces))
+	return v.Traces
+}
+
+// One ID per request: the X-Request-ID header, the access-log record and
+// the /debug/traces entry all carry it, and the entry is an explain trace
+// rooted at a request node.
+func TestDebugTraces(t *testing.T) {
+	s := New()
+	var logBuf bytes.Buffer
+	s.SetSlogger(slog.New(slog.NewJSONHandler(&logBuf, nil)))
+	h := s.Handler()
+	get(t, h, "/catalogs")
+	rec, _ := get(t, h, "/queries?x=1")
+	id := rec.Header().Get("X-Request-ID")
+	if recs := logRecords(t, &logBuf); len(recs) != 2 || recs[1].ID != id {
+		t.Fatalf("access log ids %+v, want the second to be %q", recs, id)
 	}
-	if v.Traces[0].Name != "GET /queries" {
-		t.Errorf("newest trace = %q, want GET /queries", v.Traces[0].Name)
+
+	traces := debugTraces(t, h, "?n=1")
+	if len(traces) != 1 {
+		t.Fatalf("traces = %d, want 1 (n=1)", len(traces))
 	}
-	if rec, _ := get(t, h, "/debug/traces?n=bogus"); rec.Code != http.StatusBadRequest {
-		t.Errorf("bogus n: %d, want 400", rec.Code)
+	got := traces[0]
+	if got.TraceID != id || got.Spans != 1 || got.Root.Kind != explain.KindRequest ||
+		got.Root.Name != "GET /queries" || got.Root.DurationNS <= 0 {
+		t.Errorf("newest trace = %+v, want request %s GET /queries", got, id)
+	}
+	wantAttrs := []explain.Attr{explain.A("path", "/queries"), explain.A("status", "200")}
+	if !reflect.DeepEqual(got.Root.Attrs, wantAttrs) {
+		t.Errorf("attrs = %v, want %v", got.Root.Attrs, wantAttrs)
+	}
+	if traces := debugTraces(t, h, ""); len(traces) != 3 || traces[2].Root.Name != "GET /catalogs" {
+		t.Errorf("default n: %d traces, want the 3 requests so far", len(traces))
+	}
+	for _, bad := range []string{"bogus", "0", "-2"} {
+		if rec, _ := get(t, h, "/debug/traces?n="+bad); rec.Code != http.StatusBadRequest {
+			t.Errorf("n=%s: %d, want 400", bad, rec.Code)
+		}
+	}
+}
+
+// The ring keeps the newest traceRingSize traces, newest first, and
+// /debug/traces serves 50 unless asked for more.
+func TestTraceRingOrderAndEviction(t *testing.T) {
+	s := New()
+	h := s.Handler()
+	const total = traceRingSize + 5
+	for i := 0; i < total; i++ {
+		get(t, h, "/nope")
+	}
+	got := debugTraces(t, h, "?n=1000")
+	if len(got) != traceRingSize {
+		t.Fatalf("ring holds %d traces, want %d", len(got), traceRingSize)
+	}
+	// IDs are sequential, so newest first means descending IDs, and the
+	// oldest kept request is the first one not evicted.
+	for i, tr := range got {
+		if want := fmt.Sprintf("r%08d", total-i); tr.TraceID != want {
+			t.Fatalf("traces[%d] = %s, want %s", i, tr.TraceID, want)
+		}
+	}
+	// The /debug/traces request itself was traced once it ended.
+	got = debugTraces(t, h, "")
+	if len(got) != 50 || got[0].Root.Name != "GET /debug/traces" {
+		t.Errorf("default n: %d traces, newest %s; want 50, newest GET /debug/traces", len(got), got[0].Root.Name)
+	}
+}
+
+// Requests served concurrently through Handler() while others read
+// /debug/traces: every request gets its own ID, is counted once, and the
+// ring stays full and consistent. CI runs this under -race -count=10.
+func TestObserverConcurrent(t *testing.T) {
+	s := New()
+	h := s.Handler()
+	const servers, readers, perServer = 8, 4, 40
+	var (
+		wg  sync.WaitGroup
+		mu  sync.Mutex
+		ids = map[string]bool{}
+	)
+	for g := 0; g < servers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perServer; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/nope", nil))
+				mu.Lock()
+				ids[rec.Header().Get("X-Request-ID")] = true
+				mu.Unlock()
+			}
+		}()
+	}
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perServer/4; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces?n=200", nil))
+				var v struct {
+					Traces []explain.Trace `json:"traces"`
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil || rec.Code != http.StatusOK {
+					t.Errorf("concurrent /debug/traces: %d %v", rec.Code, err)
+					return
+				}
+				for _, tr := range v.Traces {
+					if tr.TraceID == "" || tr.Root.Kind != explain.KindRequest {
+						t.Errorf("malformed trace under concurrency: %+v", tr)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(ids) != servers*perServer {
+		t.Errorf("%d distinct request IDs, want %d", len(ids), servers*perServer)
+	}
+	var unmatched int64
+	for _, c := range s.Metrics().Snapshot().Counters {
+		if c.Name == MetricHTTPRequests && c.Labels["route"] == "unmatched" {
+			unmatched += c.Value
+		}
+	}
+	if unmatched != servers*perServer {
+		t.Errorf("unmatched requests counted %d, want %d", unmatched, servers*perServer)
+	}
+	got := debugTraces(t, h, "?n=1000")
+	seen := map[string]bool{}
+	for _, tr := range got {
+		if seen[tr.TraceID] {
+			t.Errorf("trace %s kept twice", tr.TraceID)
+		}
+		seen[tr.TraceID] = true
+	}
+	if len(got) != traceRingSize {
+		t.Errorf("ring holds %d traces, want %d", len(got), traceRingSize)
+	}
+}
+
+// The observer's per-request cost: one GET of an unmatched path through
+// Handler() takes one ID, one writer wrapper and one trace node. Under Go
+// 1.24 it allocates 25 times; three middlewares, each with its own wrapper
+// and clock reads, plus a second trace ID, took 45.
+func TestRequestAllocBudget(t *testing.T) {
+	h := New().Handler()
+	req := httptest.NewRequest(http.MethodGet, "/nope", nil)
+	w := &discardWriter{header: http.Header{}}
+	const budget = 36
+	if got := testing.AllocsPerRun(200, func() { h.ServeHTTP(w, req) }); got > budget {
+		t.Errorf("one unmatched GET allocated %.0f times, budget %d", got, budget)
 	}
 }
 
@@ -257,10 +409,14 @@ func TestDebugExplain(t *testing.T) {
 	if v.Query != 3 || v.System != "Cohera" || !v.Supported || v.Trace.Spans == 0 {
 		t.Errorf("unexpected explain payload: %+v", v)
 	}
-	// The explain trace links to the telemetry span: its trace ID is the
-	// X-Trace-ID the metrics middleware stamped on this very response.
-	if id := rec.Header().Get("X-Trace-ID"); id == "" || v.Trace.TraceID != id {
-		t.Errorf("trace_id %q does not match X-Trace-ID %q", v.Trace.TraceID, id)
+	// The cell trace carries this request's ID, the ID of its own
+	// /debug/traces entry.
+	id := rec.Header().Get("X-Request-ID")
+	if id == "" || v.Trace.TraceID != id {
+		t.Errorf("trace_id %q does not match X-Request-ID %q", v.Trace.TraceID, id)
+	}
+	if traces := debugTraces(t, h, "?n=1"); traces[0].TraceID != id || traces[0].Root.Name != "GET /debug/explain" {
+		t.Errorf("request trace %+v, want %s GET /debug/explain", traces[0], id)
 	}
 
 	if rec, body := get(t, h, "/debug/explain?query=4&system=iwiz&format=text"); rec.Code != http.StatusOK ||

@@ -291,30 +291,28 @@ func parseRunSpec(form url.Values) (runSpec, error) {
 	return spec, nil
 }
 
-// startRun allocates a run ID, opens its journal sink, and launches the
-// evaluation in the background. The handler returns immediately; progress
-// streams at /runs/{id}/events.
+// startRun allocates a run ID, opens its journal sink, registers the run,
+// and launches the evaluation in the background. The handler returns
+// immediately; progress streams at /runs/{id}/events.
 func (s *Site) startRun(spec runSpec) (*run, error) {
 	rm := s.runs
 	rm.mu.Lock()
+	id := fmt.Sprintf("run-%08d", rm.nextID+1)
+	// The journal opens before the run is registered: a run whose journal
+	// cannot be created would never finish, so it must never be listed.
+	w := journal.NewWriter(io.Discard)
+	if rm.dir != "" {
+		var err error
+		if w, err = journal.Create(filepath.Join(rm.dir, id+".jsonl")); err != nil {
+			rm.mu.Unlock()
+			return nil, err
+		}
+	}
 	rm.nextID++
-	id := fmt.Sprintf("run-%08d", rm.nextID)
 	r := newRun(id)
 	rm.runs[id] = r
 	rm.order = append(rm.order, id)
-	dir := rm.dir
 	rm.mu.Unlock()
-
-	var w *journal.Writer
-	if dir != "" {
-		var err error
-		w, err = journal.Create(filepath.Join(dir, id+".jsonl"))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		w = journal.NewWriter(io.Discard)
-	}
 	w.Tap(r.publish)
 
 	rec := &journal.Recorder{W: w, RunID: id, Harness: "thalia-server"}

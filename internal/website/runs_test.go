@@ -480,6 +480,51 @@ func TestJournalDirPersistAndReload(t *testing.T) {
 	}
 }
 
+// A run whose journal cannot be created is refused with 500 and leaves
+// nothing behind: no run listed as incomplete forever, no event stream
+// that never ends.
+func TestRunJournalCreateFailureLeavesNoRun(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "journals")
+	s := New()
+	if err := s.SetJournalDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	// Replace the directory with a file, so creating a journal fails.
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := http.PostForm(ts.URL+"/runs", url.Values{"system": {"cohera"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("POST /runs with an unwritable journal dir: %d, want 500", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/runs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct {
+		Runs []struct {
+			ID string `json:"id"`
+		} `json:"runs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Runs) != 0 {
+		t.Errorf("GET /runs lists %+v after a refused run, want none", list.Runs)
+	}
+}
+
 // A partially written journal (no run_end — crashed or still running at
 // copy time) reloads as an incomplete run, and Last-Event-ID resume from
 // it replays exactly the events that made it to disk.

@@ -41,7 +41,7 @@ type Site struct {
 	roll benchmark.HonorRoll
 
 	metrics   *telemetry.Registry
-	tracer    *telemetry.Tracer
+	traces    traceRing
 	logger    *slog.Logger
 	nextReqID atomic.Int64
 	started   time.Time
@@ -49,12 +49,12 @@ type Site struct {
 	runs      *runManager
 }
 
-// New returns a site with an empty honor roll, a fresh metrics registry
-// and tracer, and a discarded access log (use SetSlogger to keep it).
+// New returns a site with an empty honor roll, a fresh metrics registry,
+// no request traces, and a discarded access log (use SetSlogger to keep
+// it).
 func New() *Site {
 	return &Site{
 		metrics: telemetry.NewRegistry(),
-		tracer:  telemetry.NewTracer(),
 		logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
 		started: time.Now(),
 		runs:    newRunManager(),
@@ -63,9 +63,10 @@ func New() *Site {
 
 // Handler returns the site's HTTP handler: the Figure 4 routes plus the
 // observability endpoints (/metrics, /healthz, /debug/traces), wrapped in
-// the middleware stack — request ID, access log, per-route metrics and
-// tracing, load shedding (see SetBreaker), panic recovery (innermost, so a
-// converted 500 is still counted, logged, and fed to the breaker).
+// the middleware stack — the request observer (request ID, access log,
+// per-route metrics, request trace), load shedding (see SetBreaker), panic
+// recovery (innermost, so a converted 500 is still counted, logged, and fed
+// to the breaker).
 func (s *Site) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.home)
@@ -88,9 +89,7 @@ func (s *Site) Handler() http.Handler {
 	mux.HandleFunc("/debug/traces", s.debugTraces)
 	mux.HandleFunc("/debug/explain", s.debugExplain)
 	return chain(mux,
-		s.requestID(),
-		s.accessLog(),
-		s.httpMetrics(),
+		s.observe(),
 		s.shedLoad(),
 		s.recoverPanics(),
 	)
@@ -126,8 +125,8 @@ func (s *Site) healthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// debugTraces serves the tracer's ring buffer, newest first. ?n=K limits
-// the count (default 50).
+// debugTraces serves the kept request traces, newest first: explain traces
+// whose root is a request node. ?n=K limits the count (default 50).
 func (s *Site) debugTraces(w http.ResponseWriter, r *http.Request) {
 	n := 50
 	if v := r.URL.Query().Get("n"); v != "" {
@@ -138,18 +137,14 @@ func (s *Site) debugTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		n = k
 	}
-	traces := s.tracer.Recent(n)
-	if traces == nil {
-		traces = []*telemetry.Trace{}
-	}
-	writeJSON(w, map[string]any{"traces": traces})
+	writeJSON(w, map[string]any{"traces": s.traces.recent(n)})
 }
 
 // debugExplain evaluates one query×system cell with an explain recorder
 // attached and serves the operator/provenance trace: JSON by default,
-// indented text plan with ?format=text. The trace carries the request's
-// telemetry trace ID (the X-Trace-ID header stamped by the metrics
-// middleware), so an explain trace can be correlated with /debug/traces.
+// indented text plan with ?format=text. The trace carries the request's ID
+// (the X-Request-ID the observer set), the ID of this request's own entry
+// in /debug/traces.
 func (s *Site) debugExplain(w http.ResponseWriter, r *http.Request) {
 	qid, err := parseQueryID(r.URL.Query().Get("query"))
 	if err != nil {
@@ -167,9 +162,7 @@ func (s *Site) debugExplain(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if id := r.Header.Get("X-Trace-ID"); id != "" {
-		tr.TraceID = id
-	}
+	tr.TraceID = w.Header().Get(requestIDHeader)
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, tr.Text())
