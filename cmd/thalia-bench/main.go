@@ -176,7 +176,7 @@ func journaledRun(path, harness string, pool int, seed int64, chaos bool) error 
 		rec.FaultPlanDigest = plan.Digest()
 		runner.Resilience = benchmark.DefaultResilience(seed)
 		for i, s := range sys {
-			sys[i] = faultline.Wrap(s, plan, nil)
+			sys[i] = faultline.Wrap(s, plan, runner.Telemetry)
 		}
 	}
 	if _, err := runner.EvaluateAll(sys...); err != nil {

@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"thalia/internal/faultline"
 	"thalia/internal/journal"
 )
 
@@ -58,6 +59,17 @@ func TestBenchJournalDirChaos(t *testing.T) {
 	}
 	if p.Start.Seed != 5 || p.Start.FaultPlanDigest == "" || !p.Start.Resilience {
 		t.Errorf("chaos provenance missing from run_start: %+v", p.Start)
+	}
+	var injected int64
+	if p.Telemetry != nil {
+		for _, c := range p.Telemetry.Counters {
+			if c.Name == faultline.MetricInjected {
+				injected += c.Value
+			}
+		}
+	}
+	if injected == 0 {
+		t.Errorf("journaled telemetry has no %s series", faultline.MetricInjected)
 	}
 }
 

@@ -22,13 +22,15 @@
 //	                                   --journal-dir flight-records the run
 //	                                   as a JSONL journal; --scenario swaps
 //	                                   the canonical testbed for a seeded
-//	                                   generated workload of N sources
+//	                                   generated workload of N sources;
+//	                                   each flag also takes --name=value
 //	thalia explain <n> <system>        trace one query's evaluation
 //	thalia hetero                      the heterogeneity classification
 package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -41,6 +43,7 @@ import (
 	"thalia"
 	"thalia/internal/benchmark"
 	"thalia/internal/buildinfo"
+	"thalia/internal/faultline"
 	"thalia/internal/hetero"
 	"thalia/internal/journal"
 	"thalia/internal/scenario"
@@ -126,7 +129,8 @@ Commands:
                             (streaming, bounded memory), --mix sets the
                             heterogeneity mix (uniform, or e.g.
                             synonyms:2,nulls,7:3), --scenario-size scales
-                            courses per catalog (default 12)
+                            courses per catalog (default 12); every
+                            flag also takes the --name=value form
   explain <n> <system>      trace one query's evaluation through a system:
         [--json]            operator spans, row counts, provenance events
   export <dir>              write the whole testbed to disk (HTML, XML,
@@ -238,125 +242,72 @@ func knownSystems() map[string]func() thalia.System {
 	}
 }
 
+// systemList is bench's repeatable --system flag: each value names one of
+// knownSystems.
+type systemList []thalia.System
+
+func (l *systemList) String() string { return "" }
+
+func (l *systemList) Set(name string) error {
+	mk, ok := knownSystems()[name]
+	if !ok {
+		return fmt.Errorf("unknown system %q (cohera|iwiz|mediator|declarative)", name)
+	}
+	*l = append(*l, mk())
+	return nil
+}
+
 func bench(args []string) error {
-	known := knownSystems()
+	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
+	var systems systemList
+	var parallel, retries, scenarioSources, scenarioSize int
+	var timeout time.Duration
+	var withTelemetry bool
+	var profileDir, explainDir, faultsArg, journalDir, mixArg string
+	var seed int64
+	fs.Var(&systems, "system", "evaluate this system (repeatable; default: all)")
+	fs.IntVar(&parallel, "parallel", 0, "worker count (default: one per CPU)")
+	fs.DurationVar(&timeout, "timeout", 0, "per-query timeout (default: none)")
+	fs.BoolVar(&withTelemetry, "telemetry", false, "print an engine metrics snapshot")
+	fs.StringVar(&profileDir, "profile", "", "write cpu.pprof and heap.pprof to this directory")
+	fs.StringVar(&explainDir, "explain-dir", "", "write explain traces of failed cells to this directory")
+	fs.StringVar(&faultsArg, "faults", "", "inject a JSON fault plan, or \"standard\"")
+	fs.StringVar(&journalDir, "journal-dir", "", "flight-record the run to this directory")
+	fs.Int64Var(&seed, "seed", 1, "fault, resilience and scenario seed")
+	fs.IntVar(&retries, "retries", 0, "attempt budget per cell")
+	fs.IntVar(&scenarioSources, "scenario", 0, "evaluate a generated workload of this many sources")
+	fs.StringVar(&mixArg, "mix", "", "heterogeneity mix of the generated workload")
+	fs.IntVar(&scenarioSize, "scenario-size", 0, "courses per generated catalog")
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("bench: %w", err)
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("bench: unexpected argument %q", fs.Arg(0))
+	}
+	// Zero means "unset" for these flags, so an explicit out-of-range value
+	// must be told apart from the default.
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	switch {
+	case given["parallel"] && parallel < 1:
+		return fmt.Errorf("bench: bad --parallel value %d (want a positive integer)", parallel)
+	case given["timeout"] && timeout <= 0:
+		return fmt.Errorf("bench: bad --timeout value %v (want e.g. 30s)", timeout)
+	case given["retries"] && retries < 1:
+		return fmt.Errorf("bench: bad --retries value %d (want a positive integer)", retries)
+	case given["scenario"] && scenarioSources < 1:
+		return fmt.Errorf("bench: bad --scenario value %d (want a positive source count)", scenarioSources)
+	case given["scenario-size"] && scenarioSize < 2:
+		return fmt.Errorf("bench: bad --scenario-size value %d (want an integer >= 2)", scenarioSize)
+	}
 	runner := thalia.NewRunner()
-	var systems []thalia.System
+	runner.Concurrency = parallel
+	runner.QueryTimeout = timeout
+	runner.ExplainFailures = explainDir != ""
 	var reg *telemetry.Registry
-	var profileDir, explainDir, faultsArg, journalDir string
-	var seed int64 = 1
-	retries := 0
-	scenarioSources, scenarioSize := 0, 0
-	mixArg := ""
-	for i := 0; i < len(args); i++ {
-		switch args[i] {
-		case "--telemetry":
-			reg = telemetry.NewRegistry()
-			runner.Telemetry = reg
-		case "--system":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("bench: --system needs a value")
-			}
-			mk, ok := known[args[i]]
-			if !ok {
-				return fmt.Errorf("bench: unknown system %q (cohera|iwiz|mediator|declarative)", args[i])
-			}
-			systems = append(systems, mk())
-		case "--parallel":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("bench: --parallel needs a worker count")
-			}
-			n, err := strconv.Atoi(args[i])
-			if err != nil || n < 1 {
-				return fmt.Errorf("bench: bad --parallel value %q (want a positive integer)", args[i])
-			}
-			runner.Concurrency = n
-		case "--timeout":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("bench: --timeout needs a duration")
-			}
-			d, err := time.ParseDuration(args[i])
-			if err != nil || d <= 0 {
-				return fmt.Errorf("bench: bad --timeout value %q (want e.g. 30s)", args[i])
-			}
-			runner.QueryTimeout = d
-		case "--profile":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("bench: --profile needs a directory")
-			}
-			profileDir = args[i]
-		case "--explain-dir":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("bench: --explain-dir needs a directory")
-			}
-			explainDir = args[i]
-			runner.ExplainFailures = true
-		case "--faults":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("bench: --faults needs a plan file or \"standard\"")
-			}
-			faultsArg = args[i]
-		case "--journal-dir":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("bench: --journal-dir needs a directory")
-			}
-			journalDir = args[i]
-		case "--seed":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("bench: --seed needs a value")
-			}
-			n, err := strconv.ParseInt(args[i], 10, 64)
-			if err != nil {
-				return fmt.Errorf("bench: bad --seed value %q (want an integer)", args[i])
-			}
-			seed = n
-		case "--retries":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("bench: --retries needs a value")
-			}
-			n, err := strconv.Atoi(args[i])
-			if err != nil || n < 1 {
-				return fmt.Errorf("bench: bad --retries value %q (want a positive integer)", args[i])
-			}
-			retries = n
-		case "--scenario":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("bench: --scenario needs a source count")
-			}
-			n, err := strconv.Atoi(args[i])
-			if err != nil || n < 1 {
-				return fmt.Errorf("bench: bad --scenario value %q (want a positive source count)", args[i])
-			}
-			scenarioSources = n
-		case "--mix":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("bench: --mix needs a heterogeneity mix (e.g. uniform or synonyms:2,nulls)")
-			}
-			mixArg = args[i]
-		case "--scenario-size":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("bench: --scenario-size needs a per-catalog course scale")
-			}
-			n, err := strconv.Atoi(args[i])
-			if err != nil || n < 2 {
-				return fmt.Errorf("bench: bad --scenario-size value %q (want an integer >= 2)", args[i])
-			}
-			scenarioSize = n
-		default:
-			return fmt.Errorf("bench: unknown flag %q", args[i])
-		}
+	if withTelemetry {
+		reg = telemetry.NewRegistry()
+		runner.Telemetry = reg
 	}
 	var sc *scenario.Scenario
 	if scenarioSources > 0 {
@@ -404,9 +355,6 @@ func bench(args []string) error {
 				plan.Seed = seed
 			}
 		}
-		for i, sys := range systems {
-			systems[i] = thalia.WithFaults(sys, plan)
-		}
 	}
 	if chaos || retries > 0 {
 		runner.Resilience = thalia.DefaultResilience(seed)
@@ -438,6 +386,13 @@ func bench(args []string) error {
 			// Journals sample telemetry snapshots; attach a registry even
 			// without --telemetry (it cannot change the scorecards).
 			runner.Telemetry = telemetry.NewRegistry()
+		}
+	}
+	if plan != nil {
+		// Wrapped after the registry is attached, so injected faults are
+		// counted in the telemetry the run prints and journals.
+		for i, sys := range systems {
+			systems[i] = faultline.Wrap(sys, plan, runner.Telemetry)
 		}
 	}
 	stopProfiles := func() error { return nil }

@@ -21,6 +21,7 @@ func TestRunCommands(t *testing.T) {
 		{"hetero"},
 		{"help"},
 		{"bench", "--system", "iwiz"},
+		{"bench", "--system=iwiz", "--parallel=2"},
 		{"explain", "3", "cohera"},
 		{"explain", "q8", "iwiz"},
 		{"explain", "1", "declarative", "--json"},
@@ -55,6 +56,12 @@ func TestRunErrors(t *testing.T) {
 		{"bench", "--seed", "pi"},
 		{"bench", "--retries"},
 		{"bench", "--retries", "0"},
+		{"bench", "--parallel", "0"},
+		{"bench", "--timeout", "0s"},
+		{"bench", "--scenario", "0"},
+		{"bench", "--scenario", "5", "--scenario-size", "1"},
+		{"bench", "--system=ghost"},
+		{"bench", "--system", "iwiz", "stray"},
 		{"explain"},
 		{"explain", "3"},
 		{"explain", "13", "cohera"},

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"thalia/internal/cohera"
 	"thalia/internal/hetero"
 	"thalia/internal/integration"
 	"thalia/internal/ufmw"
@@ -233,41 +232,5 @@ func TestScorecardFormat(t *testing.T) {
 	}
 	if sum := Summary(card); !strings.Contains(sum, "12/12 correct") {
 		t.Errorf("Summary: %s", sum)
-	}
-}
-
-// The group breakdown localizes where systems fall down: both legacy
-// systems lose exactly two attribute-group queries (4, 5) and one
-// missing-data query (8), and sweep the structural group.
-func TestGroupBreakdown(t *testing.T) {
-	card, err := NewRunner().Evaluate(ufmw.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups := card.GroupBreakdown()
-	if len(groups) != 3 {
-		t.Fatalf("groups = %d", len(groups))
-	}
-	wantTotals := []int{5, 3, 4} // the paper's 5 attribute + 3 missing + 4 structural
-	for i, g := range groups {
-		if g.Total != wantTotals[i] {
-			t.Errorf("group %v total = %d, want %d", g.Group, g.Total, wantTotals[i])
-		}
-		if g.Correct != g.Total {
-			t.Errorf("full mediator should sweep group %v: %d/%d", g.Group, g.Correct, g.Total)
-		}
-	}
-}
-
-func TestGroupBreakdownLegacySystems(t *testing.T) {
-	card, err := NewRunner().Evaluate(cohera.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups := card.GroupBreakdown()
-	// Cohera: attribute group loses 4 and 5 → 3/5; missing data loses 8 →
-	// 2/3; structural is swept → 4/4.
-	if groups[0].Correct != 3 || groups[1].Correct != 2 || groups[2].Correct != 4 {
-		t.Errorf("cohera breakdown: %+v", groups)
 	}
 }

@@ -159,8 +159,10 @@ func TestJournalCellLifecycleComplete(t *testing.T) {
 	}
 }
 
-// journal.Rank mirrors benchmark.Rank's ordering; the cross-check keeps the
-// two from drifting apart.
+// journal.Rank and benchmark.Rank order by the same journal.Outranks, but
+// each counts correct answers and complexity over its own card type; the
+// cross-check keeps those counts, and so the two rankings, from drifting
+// apart.
 func TestJournalRankMatchesBenchmarkRank(t *testing.T) {
 	cards, err := NewRunner().EvaluateAll(allSystems()...)
 	if err != nil {

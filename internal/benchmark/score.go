@@ -6,8 +6,8 @@ import (
 	"strings"
 
 	"thalia/internal/explain"
-	"thalia/internal/hetero"
 	"thalia/internal/integration"
+	"thalia/internal/journal"
 )
 
 // QueryResult is the outcome of one benchmark query for one system.
@@ -122,19 +122,13 @@ func (s *Scorecard) Result(queryID int) *QueryResult {
 	return nil
 }
 
-// Rank orders scorecards by the paper's scheme: more correct answers first;
-// among equals, the lower complexity score (more sophistication) wins; name
-// breaks any remaining tie deterministically.
+// Rank orders scorecards by the paper's scheme (journal.Outranks), best
+// first: more correct answers, then the lower complexity score, then name.
 func Rank(cards []*Scorecard) []*Scorecard {
 	out := append([]*Scorecard(nil), cards...)
 	sort.SliceStable(out, func(i, j int) bool {
-		if a, b := out[i].CorrectCount(), out[j].CorrectCount(); a != b {
-			return a > b
-		}
-		if a, b := out[i].ComplexityScore(), out[j].ComplexityScore(); a != b {
-			return a < b
-		}
-		return out[i].System < out[j].System
+		a, b := out[i], out[j]
+		return journal.Outranks(a.System, a.CorrectCount(), a.ComplexityScore(), b.System, b.CorrectCount(), b.ComplexityScore())
 	})
 	return out
 }
@@ -213,13 +207,8 @@ func (h *HonorRoll) AddEntry(e HonorRollEntry) {
 // lowest-ranked.
 func (h *HonorRoll) sort() {
 	sort.SliceStable(h.Entries, func(i, j int) bool {
-		if h.Entries[i].Correct != h.Entries[j].Correct {
-			return h.Entries[i].Correct > h.Entries[j].Correct
-		}
-		if h.Entries[i].Complexity != h.Entries[j].Complexity {
-			return h.Entries[i].Complexity < h.Entries[j].Complexity
-		}
-		return h.Entries[i].System < h.Entries[j].System
+		a, b := &h.Entries[i], &h.Entries[j]
+		return journal.Outranks(a.System, a.Correct, a.Complexity, b.System, b.Correct, b.Complexity)
 	})
 	if len(h.Entries) > honorRollSize {
 		clear(h.Entries[honorRollSize:])
@@ -236,40 +225,4 @@ func (h *HonorRoll) Format() string {
 		fmt.Fprintf(&b, "%4d  %-26s  %-20s  %5d/12  %10d\n", i+1, e.System, e.Group, e.Correct, e.Complexity)
 	}
 	return b.String()
-}
-
-// GroupScore is the per-group breakdown of a scorecard, following the
-// paper's three heterogeneity groups.
-type GroupScore struct {
-	Group     hetero.Group
-	Correct   int
-	Supported int
-	Total     int
-}
-
-// GroupBreakdown reports correctness per heterogeneity group — useful for
-// seeing *where* a system falls down (the paper's hard core is the tail of
-// the attribute group and the missing-data group).
-func (s *Scorecard) GroupBreakdown() []GroupScore {
-	byGroup := map[hetero.Group]*GroupScore{}
-	order := []hetero.Group{hetero.GroupAttribute, hetero.GroupMissingData, hetero.GroupStructural}
-	for _, g := range order {
-		byGroup[g] = &GroupScore{Group: g}
-	}
-	for _, r := range s.Results {
-		g := hetero.Case(r.QueryID).Group()
-		gs := byGroup[g]
-		gs.Total++
-		if r.Supported {
-			gs.Supported++
-		}
-		if r.Correct {
-			gs.Correct++
-		}
-	}
-	out := make([]GroupScore, len(order))
-	for i, g := range order {
-		out[i] = *byGroup[g]
-	}
-	return out
 }

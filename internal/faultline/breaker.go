@@ -36,9 +36,7 @@ func (s BreakerState) String() string {
 // Both transitions advance on calls, never on wall-clock time, so a
 // benchmark run that makes the same sequence of Allow/Record calls always
 // sees the same breaker states — the property the chaos conformance suite
-// depends on. The website's load-shedding middleware uses the same type;
-// there the "cooldown in calls" reading is natural too (shed N requests,
-// then probe).
+// depends on.
 type Breaker struct {
 	mu          sync.Mutex
 	threshold   int

@@ -15,7 +15,7 @@
 // same idiom the explain recorder uses. The package also supplies the
 // resilience half: a count-based circuit breaker (deterministic by
 // construction — state advances per decision, not per second) used by the
-// benchmark's retry loop and the website's load-shedding middleware.
+// benchmark's retry loop.
 package faultline
 
 import (
@@ -195,11 +195,6 @@ func (p *Plan) Validate() error {
 	}
 	return nil
 }
-
-// Zero reports whether the plan injects nothing: wrapping with a zero plan
-// is byte-identical to not wrapping at all (test-enforced in
-// internal/benchmark).
-func (p *Plan) Zero() bool { return p == nil || len(p.Rules) == 0 }
 
 // Match returns the rules that fire for one (system, query, attempt)
 // coordinate. The decision is a pure function of the plan — seed, rule

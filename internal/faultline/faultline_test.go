@@ -9,7 +9,6 @@ import (
 
 	"thalia/internal/integration"
 	"thalia/internal/telemetry"
-	"thalia/internal/xmldom"
 )
 
 // fakeSystem answers every query with two fixed rows.
@@ -125,9 +124,6 @@ func TestMatchFields(t *testing.T) {
 	var nilPlan *Plan
 	if got := nilPlan.Match("A", 1, 1); got != nil {
 		t.Fatal("nil plan matched rules")
-	}
-	if !nilPlan.Zero() || !(&Plan{Seed: 5}).Zero() || StandardMix(1).Zero() {
-		t.Fatal("Zero() misclassifies plans")
 	}
 }
 
@@ -266,39 +262,6 @@ func TestWrapFallbackAttemptCounter(t *testing.T) {
 	}
 	if _, err := sys.Answer(req(2, 0)); err != nil {
 		t.Fatalf("second bare call = %v, want success (fallback attempt advanced)", err)
-	}
-}
-
-func TestWrapResolver(t *testing.T) {
-	doc := xmldom.NewDocument(xmldom.NewElement("Courses").
-		Append(xmldom.NewElement("Course").AppendText("CS1")).
-		Append(xmldom.NewElement("Course").AppendText("CS2")))
-	base := func(uri string) (*xmldom.Document, error) { return doc, nil }
-
-	// Transient fault keyed on the source name.
-	fn := WrapResolver(base, &Plan{Rules: []Rule{{Kind: KindTransient, System: "brown"}}}, nil)
-	if _, err := fn("brown.xml"); !integration.Transient(err) {
-		t.Fatalf("brown fetch = %v, want transient injected error", err)
-	}
-	if _, err := fn("cmu.xml"); err != nil {
-		t.Fatalf("cmu fetch = %v, want clean (rule keyed on brown)", err)
-	}
-
-	// Drip keeps the document intact.
-	fn = WrapResolver(base, &Plan{Rules: []Rule{{Kind: KindDrip, Chunk: 8}}}, nil)
-	got, err := fn("brown")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Root.ChildrenNamed("Course")) != 2 {
-		t.Fatal("drip corrupted the document")
-	}
-
-	// A zero plan is the identity.
-	fn = WrapResolver(base, &Plan{}, nil)
-	got, err = fn("anything")
-	if err != nil || got != doc {
-		t.Fatal("zero plan did not pass through")
 	}
 }
 

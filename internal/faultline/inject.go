@@ -13,7 +13,7 @@ import (
 )
 
 // MetricInjected counts faults actually injected, labeled by kind and
-// system (or catalog source name for document faults).
+// system.
 const MetricInjected = "faults_injected_total"
 
 // InjectedError is the error a fault decorator returns for transient,
@@ -199,66 +199,4 @@ func truncateRows(queryID int, rows []integration.Row, r *Rule) ([]integration.R
 		return nil, err
 	}
 	return integration.RowsFromXML(doc)
-}
-
-// DocResolver is a catalog document source: the signature of
-// catalog.Resolver().
-type DocResolver func(uri string) (*xmldom.Document, error)
-
-// WrapResolver decorates a catalog document source with the plan's faults,
-// keyed on the source URI (minus any ".xml" suffix) as the rule's System
-// coordinate, query and attempt 0. Latency delays the fetch,
-// transient/permanent fail it, truncate and drip corrupt or slow the
-// serialized document on its way through. reg may be nil.
-func WrapResolver(fn DocResolver, plan *Plan, reg *telemetry.Registry) DocResolver {
-	if plan.Zero() {
-		return fn
-	}
-	return func(uri string) (*xmldom.Document, error) {
-		name := uri
-		if len(name) > 4 && name[len(name)-4:] == ".xml" {
-			name = name[:len(name)-4]
-		}
-		eff := resolve(plan.Match(name, 0, 0), name, 0, 0)
-		count := func(kind Kind) {
-			if reg != nil {
-				reg.Counter(MetricInjected, telemetry.L("kind", string(kind)), telemetry.L("system", name)).Inc()
-			}
-		}
-		if eff.delay > 0 {
-			count(KindLatency)
-			time.Sleep(eff.delay)
-		}
-		if eff.fail != nil {
-			count(eff.fail.Kind)
-			return nil, eff.fail
-		}
-		doc, err := fn(uri)
-		if err != nil || doc == nil {
-			return doc, err
-		}
-		if eff.drip != nil {
-			count(KindDrip)
-			payload := []byte(doc.Encode())
-			data, rerr := io.ReadAll(NewDripReader(payload, eff.drip.Chunk, time.Duration(eff.drip.LatencyMS)*time.Millisecond))
-			if rerr != nil {
-				return nil, &InjectedError{Kind: KindDrip, System: name}
-			}
-			redoc, perr := xmldom.ParseString(string(data))
-			if perr != nil {
-				return nil, &InjectedError{Kind: KindDrip, System: name}
-			}
-			doc = redoc
-		}
-		if eff.truncate != nil {
-			count(KindTruncate)
-			payload := []byte(doc.Encode())
-			redoc, perr := xmldom.ParseString(string(Truncate(payload, eff.truncate.Fraction)))
-			if perr != nil {
-				return nil, &InjectedError{Kind: KindTruncate, System: name}
-			}
-			doc = redoc
-		}
-		return doc, nil
-	}
 }

@@ -208,20 +208,28 @@ func (c *Card) Complexity() int {
 	return n
 }
 
-// Rank orders cards by the paper's scheme — more correct answers first,
-// lower complexity among equals, system name as the final tiebreak — the
-// same ordering benchmark.Rank applies to live scorecards (cross-checked by
-// the benchmark package's journal tests).
+// Outranks reports whether system a, with aCorrect correct answers and
+// complexity score aComplexity, ranks above system b by the paper's scheme:
+// more correct answers first; among equals, the lower complexity score
+// (more sophistication) wins; the system name breaks any remaining tie, so
+// the order is total. Rank, benchmark.Rank and the Honor Roll all order by
+// it.
+func Outranks(a string, aCorrect, aComplexity int, b string, bCorrect, bComplexity int) bool {
+	if aCorrect != bCorrect {
+		return aCorrect > bCorrect
+	}
+	if aComplexity != bComplexity {
+		return aComplexity < bComplexity
+	}
+	return a < b
+}
+
+// Rank orders cards by Outranks, best first.
 func Rank(cards []*Card) []*Card {
 	out := append([]*Card(nil), cards...)
 	sort.SliceStable(out, func(i, j int) bool {
-		if a, b := out[i].Correct(), out[j].Correct(); a != b {
-			return a > b
-		}
-		if a, b := out[i].Complexity(), out[j].Complexity(); a != b {
-			return a < b
-		}
-		return out[i].System < out[j].System
+		a, b := out[i], out[j]
+		return Outranks(a.System, a.Correct(), a.Complexity(), b.System, b.Correct(), b.Complexity())
 	})
 	return out
 }

@@ -41,15 +41,3 @@ func (u Umfang) Units() int { return (u.Lecture + u.Exercise) * 4 }
 // CreditHours converts the workload to US semester credit hours: one credit
 // hour per weekly contact hour.
 func (u Umfang) CreditHours() int { return u.Lecture + u.Exercise }
-
-// UnitsFromCreditHours converts US semester credit hours to CMU-style
-// units (three units per credit hour).
-func UnitsFromCreditHours(credits int) int { return credits * 3 }
-
-// CreditHoursFromUnits converts CMU units to US semester credit hours,
-// rounding down.
-func CreditHoursFromUnits(units int) int { return units / 3 }
-
-// UnitsFromSWS converts German Semesterwochenstunden to CMU-style units,
-// using the same four-units-per-contact-hour convention as Umfang.
-func UnitsFromSWS(sws int) int { return sws * 4 }

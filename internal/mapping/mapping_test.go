@@ -244,12 +244,6 @@ func TestUmfang(t *testing.T) {
 	if _, err := ParseUmfang("abc"); err == nil {
 		t.Error("expected error")
 	}
-	if UnitsFromCreditHours(4) != 12 || CreditHoursFromUnits(12) != 4 {
-		t.Error("credit-hour conversions inconsistent")
-	}
-	if UnitsFromSWS(3) != 12 {
-		t.Error("SWS conversion wrong")
-	}
 }
 
 func TestDecomposeBrownTitle(t *testing.T) {

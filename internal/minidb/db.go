@@ -2,7 +2,6 @@ package minidb
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -13,8 +12,6 @@ type Table struct {
 	Columns []string
 	Rows    [][]Value
 
-	colIdx map[string]int
-
 	// eqIdx holds lazily built per-column equality indexes consulted by
 	// single-table WHERE scans; see eqIndexFor.
 	idxMu sync.Mutex
@@ -23,11 +20,7 @@ type Table struct {
 
 // NewTable creates an empty table with the given columns.
 func NewTable(name string, columns ...string) *Table {
-	t := &Table{Name: name, Columns: columns, colIdx: map[string]int{}}
-	for i, c := range columns {
-		t.colIdx[strings.ToLower(c)] = i
-	}
-	return t
+	return &Table{Name: name, Columns: columns}
 }
 
 // Insert appends one row; the value count must match the column count.
@@ -37,14 +30,6 @@ func (t *Table) Insert(vals ...Value) error {
 	}
 	t.Rows = append(t.Rows, vals)
 	return nil
-}
-
-// ColumnIndex finds a column by case-insensitive name; -1 if absent.
-func (t *Table) ColumnIndex(name string) int {
-	if i, ok := t.colIdx[strings.ToLower(name)]; ok {
-		return i
-	}
-	return -1
 }
 
 // Func is a user-defined function — the minidb counterpart of Cohera's
@@ -130,21 +115,6 @@ func (db *DB) Functions() map[string]*Func {
 		out[k] = v
 	}
 	return out
-}
-
-// TableNames returns the sorted names of base tables and views.
-func (db *DB) TableNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var names []string
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	for n := range db.views {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // maxViewDepth bounds view-over-view nesting, so a cyclic view definition

@@ -18,7 +18,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"thalia/internal/catalog"
 	"thalia/internal/explain"
@@ -115,16 +114,12 @@ type GlobalQuery struct {
 }
 
 // Mediator answers global queries over mapped sources. A Mediator is safe
-// for concurrent use: each evaluation tallies transform usage in a ledger
-// local to the call (AnswerUsage returns it), and the accumulated shared
-// ledger behind UsedTransforms is mutex-protected.
+// for concurrent use: it is read-only after NewMediator, and each Answer
+// call tallies transform usage in a ledger of its own.
 type Mediator struct {
 	transforms map[string]*Transform
 	mappings   map[string]*SourceMapping
 	lex        *mapping.Lexicon
-	// mu guards used, the ledger accumulated across Answer calls.
-	mu   sync.Mutex
-	used map[string]int
 }
 
 // ledger tallies the transforms one evaluation invoked. Each Answer call
@@ -138,7 +133,6 @@ func NewMediator() *Mediator {
 		transforms: map[string]*Transform{},
 		mappings:   map[string]*SourceMapping{},
 		lex:        mapping.NewGermanLexicon(),
-		used:       map[string]int{},
 	}
 	for _, t := range standardTransforms() {
 		m.transforms[t.Name] = t
@@ -193,53 +187,14 @@ func (m *Mediator) charged(used ledger) map[string]int {
 	return out
 }
 
-// UsedTransforms returns the non-trivial transforms invoked since the last
-// reset, with their complexities — the mediator's integration-effort
-// ledger, accumulated across Answer calls.
-func (m *Mediator) UsedTransforms() map[string]int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.charged(m.used)
-}
-
-// ResetLedger clears the accumulated transform-usage ledger.
-func (m *Mediator) ResetLedger() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.used = map[string]int{}
-}
-
 // Answer evaluates a global query: it decomposes the query into one
 // evaluation per mapped source, applies each source's mapping table, and
-// merges the per-source rows. The transforms invoked are folded into the
-// shared ledger (UsedTransforms); concurrent callers that need per-call
-// effort accounting should use AnswerUsage instead.
-func (m *Mediator) Answer(q GlobalQuery) ([]Row, error) {
-	rows, used, err := m.answerLedger(q, nil)
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	for name, n := range used {
-		m.used[name] += n
-	}
-	m.mu.Unlock()
-	return rows, nil
-}
-
-// AnswerUsage evaluates a global query and returns, alongside the rows, the
-// charged transforms this call alone invoked (name → complexity). It does
-// not touch the shared ledger, so concurrent evaluations are fully
-// independent.
-func (m *Mediator) AnswerUsage(q GlobalQuery) ([]Row, map[string]int, error) {
-	return m.AnswerUsageRecorded(q, nil)
-}
-
-// AnswerUsageRecorded is AnswerUsage with explain instrumentation: per-source
+// merges the per-source rows. Alongside the rows it returns the charged
+// transforms this call invoked (name → complexity), the mediator's
+// integration effort for the query. A non-nil rec records per-source
 // mapping spans, a merge event, and one transform event per charged
-// transform are recorded into rec. A nil rec records nothing and takes the
-// same path as AnswerUsage.
-func (m *Mediator) AnswerUsageRecorded(q GlobalQuery, rec *explain.Recorder) ([]Row, map[string]int, error) {
+// transform.
+func (m *Mediator) Answer(q GlobalQuery, rec *explain.Recorder) ([]Row, map[string]int, error) {
 	rows, used, err := m.answerLedger(q, rec)
 	if err != nil {
 		return nil, nil, err

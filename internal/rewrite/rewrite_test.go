@@ -8,11 +8,11 @@ import (
 
 func TestMediatorBasicQuery(t *testing.T) {
 	m := NewMediator()
-	rows, err := m.Answer(GlobalQuery{
+	rows, _, err := m.Answer(GlobalQuery{
 		Sources: []string{"gatech"},
 		Select:  []string{"course", "instructor"},
 		Where:   []Predicate{{Field: "instructor", Op: OpEq, Value: "Mark"}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,11 +23,11 @@ func TestMediatorBasicQuery(t *testing.T) {
 
 func TestMultiValuedExpansion(t *testing.T) {
 	m := NewMediator()
-	rows, err := m.Answer(GlobalQuery{
+	rows, _, err := m.Answer(GlobalQuery{
 		Sources: []string{"cmu"},
 		Select:  []string{"course", "instructor"},
 		Where:   []Predicate{{Field: "course", Op: OpEq, Value: "15-712"}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +47,11 @@ func TestMultiValuedExpansion(t *testing.T) {
 func TestSelectedFieldFilteredByOwnPredicate(t *testing.T) {
 	m := NewMediator()
 	// Only the matching value of a multi-valued selected field is emitted.
-	rows, err := m.Answer(GlobalQuery{
+	rows, _, err := m.Answer(GlobalQuery{
 		Sources: []string{"cmu"},
 		Select:  []string{"course", "instructor"},
 		Where:   []Predicate{{Field: "instructor", Op: OpEq, Value: "Wing"}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +62,14 @@ func TestSelectedFieldFilteredByOwnPredicate(t *testing.T) {
 
 func TestInapplicableFieldSemantics(t *testing.T) {
 	m := NewMediator()
-	rows, err := m.Answer(GlobalQuery{
+	rows, used, err := m.Answer(GlobalQuery{
 		Sources: []string{"eth"},
 		Select:  []string{"course", "restriction"},
 		Where: []Predicate{
 			{Field: "title", Op: OpContainsTranslated, Value: "database"},
 			{Field: "restriction", Op: OpOpenTo, Value: "JR"},
 		},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,18 +81,18 @@ func TestInapplicableFieldSemantics(t *testing.T) {
 			t.Errorf("restriction = %q", r["restriction"])
 		}
 	}
-	if used := m.UsedTransforms(); used["dual-null"] != 3 {
+	if used["dual-null"] != 3 {
 		t.Errorf("dual-null not charged: %v", used)
 	}
 }
 
 func TestMissingAsEmpty(t *testing.T) {
 	m := NewMediator()
-	rows, err := m.Answer(GlobalQuery{
+	rows, _, err := m.Answer(GlobalQuery{
 		Sources: []string{"toronto"},
 		Select:  []string{"course", "textbook"},
 		Where:   []Predicate{{Field: "title", Op: OpContains, Value: "Formal Methods"}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,27 +104,28 @@ func TestMissingAsEmpty(t *testing.T) {
 func TestLedgerOnlyChargesNeededFields(t *testing.T) {
 	m := NewMediator()
 	// A query not touching eth units must not run the Umfang transform.
-	if _, err := m.Answer(GlobalQuery{
+	_, used, err := m.Answer(GlobalQuery{
 		Sources: []string{"eth"},
 		Select:  []string{"course"},
 		Where:   []Predicate{{Field: "instructor", Op: OpEq, Value: "Gross"}},
-	}); err != nil {
+	}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if used := m.UsedTransforms(); len(used) != 0 {
+	if len(used) != 0 {
 		t.Errorf("unneeded transforms charged: %v", used)
 	}
 }
 
 func TestErrors(t *testing.T) {
 	m := NewMediator()
-	if _, err := m.Answer(GlobalQuery{Sources: []string{"ghost"}}); err == nil {
+	if _, _, err := m.Answer(GlobalQuery{Sources: []string{"ghost"}}, nil); err == nil {
 		t.Error("unknown source should error")
 	}
-	if _, err := m.Answer(GlobalQuery{
+	if _, _, err := m.Answer(GlobalQuery{
 		Sources: []string{"cmu"},
 		Where:   []Predicate{{Field: "title", Op: "bogus", Value: "x"}},
-	}); err == nil {
+	}, nil); err == nil {
 		t.Error("unknown operator should error")
 	}
 }

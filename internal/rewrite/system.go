@@ -12,8 +12,8 @@ import (
 // interface: every benchmark query is expressed as a GlobalQuery over the
 // global schema — no per-query code at all — and the effort accounting
 // comes from the mediator's transform ledger. Answer is safe for
-// concurrent use: each call carries its own usage ledger (AnswerUsage), so
-// parallel benchmark cells never interleave effort accounting.
+// concurrent use: each Mediator.Answer call carries its own usage ledger,
+// so parallel benchmark cells never interleave effort accounting.
 type System struct {
 	med *Mediator
 }
@@ -127,7 +127,7 @@ func (s *System) Answer(req integration.Request) (*integration.Answer, error) {
 		sp = rec.Begin(explain.KindAnswer, "DeclarativeMediator.Answer")
 		defer sp.End()
 	}
-	rows, used, err := s.med.AnswerUsageRecorded(gq, rec)
+	rows, used, err := s.med.Answer(gq, rec)
 	if err != nil {
 		return nil, err
 	}

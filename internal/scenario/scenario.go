@@ -24,7 +24,6 @@ package scenario
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -571,14 +570,4 @@ func (sc *Scenario) ClassTotals() map[hetero.Case]int {
 		totals[sc.Case(i)]++
 	}
 	return totals
-}
-
-// sortedCases returns the cases present in totals, in case order.
-func sortedCases(totals map[hetero.Case]int) []hetero.Case {
-	cases := make([]hetero.Case, 0, len(totals))
-	for c := range totals {
-		cases = append(cases, c)
-	}
-	sort.Slice(cases, func(i, j int) bool { return cases[i] < cases[j] })
-	return cases
 }

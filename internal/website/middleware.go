@@ -39,7 +39,7 @@ func chain(h http.Handler, mws ...middleware) http.Handler {
 }
 
 // statusWriter captures the response status code (and whether a body write
-// already implied 200) so the observer and the load shedder can see it.
+// already implied 200) so the request observer can see it.
 type statusWriter struct {
 	http.ResponseWriter
 	code int

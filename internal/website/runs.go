@@ -328,7 +328,7 @@ func (s *Site) startRun(spec runSpec) (*run, error) {
 		runner.Resilience = benchmark.DefaultResilience(spec.seed)
 		wrapped := make([]integration.System, len(systems))
 		for i, sys := range systems {
-			wrapped[i] = faultline.Wrap(sys, plan, nil)
+			wrapped[i] = faultline.Wrap(sys, plan, runner.Telemetry)
 		}
 		systems = wrapped
 	}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"thalia/internal/faultline"
 	"thalia/internal/journal"
 )
 
@@ -522,6 +523,38 @@ func TestRunJournalCreateFailureLeavesNoRun(t *testing.T) {
 	}
 	if len(list.Runs) != 0 {
 		t.Errorf("GET /runs lists %+v after a refused run, want none", list.Runs)
+	}
+}
+
+// A chaos run counts the faults it injects in its own registry, so the
+// journal's telemetry snapshots carry them.
+func TestChaosRunJournalsInjectedFaults(t *testing.T) {
+	dir := t.TempDir()
+	s := New()
+	if err := s.SetJournalDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	id := startTestRun(t, ts, url.Values{"chaos": {"7"}})
+	waitComplete(t, ts, id)
+
+	events, err := journal.ReadFile(filepath.Join(dir, id+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := journal.Replay(events)
+	if p.Telemetry == nil {
+		t.Fatal("chaos run journaled no telemetry snapshot")
+	}
+	var injected int64
+	for _, c := range p.Telemetry.Counters {
+		if c.Name == faultline.MetricInjected {
+			injected += c.Value
+		}
+	}
+	if injected == 0 {
+		t.Errorf("last telemetry snapshot has no %s series, want the run's injected faults", faultline.MetricInjected)
 	}
 }
 

@@ -45,7 +45,6 @@ type Site struct {
 	logger    *slog.Logger
 	nextReqID atomic.Int64
 	started   time.Time
-	shedGate  breakerGate
 	runs      *runManager
 }
 
@@ -64,9 +63,8 @@ func New() *Site {
 // Handler returns the site's HTTP handler: the Figure 4 routes plus the
 // observability endpoints (/metrics, /healthz, /debug/traces), wrapped in
 // the middleware stack — the request observer (request ID, access log,
-// per-route metrics, request trace), load shedding (see SetBreaker), panic
-// recovery (innermost, so a converted 500 is still counted, logged, and fed
-// to the breaker).
+// per-route metrics, request trace), then panic recovery (innermost, so a
+// converted 500 is still counted and logged).
 func (s *Site) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.home)
@@ -90,7 +88,6 @@ func (s *Site) Handler() http.Handler {
 	mux.HandleFunc("/debug/explain", s.debugExplain)
 	return chain(mux,
 		s.observe(),
-		s.shedLoad(),
 		s.recoverPanics(),
 	)
 }

@@ -164,16 +164,6 @@ func (e *Element) AttrValue(name string) string {
 	return v
 }
 
-// RemoveAttr deletes the named attribute if present.
-func (e *Element) RemoveAttr(name string) {
-	for i, a := range e.Attrs {
-		if a.Name == name {
-			e.Attrs = append(e.Attrs[:i], e.Attrs[i+1:]...)
-			return
-		}
-	}
-}
-
 // LocalName returns the element name with any namespace prefix removed.
 func (e *Element) LocalName() string {
 	if i := strings.IndexByte(e.Name, ':'); i >= 0 {

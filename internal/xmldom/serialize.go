@@ -13,9 +13,6 @@ var (
 // EscapeText escapes character data for inclusion in XML content.
 func EscapeText(s string) string { return textEscaper.Replace(s) }
 
-// EscapeAttr escapes a value for inclusion in a double-quoted attribute.
-func EscapeAttr(s string) string { return attrEscaper.Replace(s) }
-
 // WriteOptions control document serialization.
 type WriteOptions struct {
 	// Indent is the per-level indentation string; "" produces compact output.

@@ -116,12 +116,11 @@ func TestBuilderAndAttrOps(t *testing.T) {
 		t.Errorf("SetAttr replace: got %q", v)
 	}
 	e.SetAttr("x", "y")
-	e.RemoveAttr("id")
-	if _, ok := e.Attr("id"); ok {
-		t.Error("RemoveAttr failed")
-	}
 	if v := e.AttrValue("x"); v != "y" {
-		t.Error("remaining attr lost")
+		t.Error("second attr lost")
+	}
+	if _, ok := e.Attr("z"); ok {
+		t.Error("Attr reports an absent attribute")
 	}
 	e.AppendText("hello")
 	if e.Text() != "hello" {

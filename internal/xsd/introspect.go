@@ -1,9 +1,6 @@
 package xsd
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
 // This file holds the introspection helpers the static analysis layer
 // (internal/analysis) uses to resolve query path steps against a schema:
@@ -37,20 +34,6 @@ func (s *Schema) Find(name string) []*ElementDecl {
 	var out []*ElementDecl
 	s.WalkDecls(func(path string, d *ElementDecl) bool {
 		if d.Name == name {
-			out = append(out, d)
-		}
-		return true
-	})
-	return out
-}
-
-// FindFold is Find under case-insensitive matching. It backs the analyzer's
-// "did you mean" hints: a dead path whose step matches an existing element
-// name up to case is almost certainly a misspelling, not a schema gap.
-func (s *Schema) FindFold(name string) []*ElementDecl {
-	var out []*ElementDecl
-	s.WalkDecls(func(path string, d *ElementDecl) bool {
-		if strings.EqualFold(d.Name, name) {
 			out = append(out, d)
 		}
 		return true

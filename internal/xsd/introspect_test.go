@@ -33,16 +33,13 @@ func TestWalkDeclsPaths(t *testing.T) {
 	}
 }
 
-func TestFindAndFindFold(t *testing.T) {
+func TestFind(t *testing.T) {
 	s := introspectSchema(t)
 	if got := s.Find("Time"); len(got) != 1 || got[0].Name != "Time" {
 		t.Errorf("Find(Time) = %v", got)
 	}
 	if got := s.Find("time"); len(got) != 0 {
 		t.Errorf("Find is case-sensitive; got %v", got)
-	}
-	if got := s.FindFold("TIME"); len(got) != 1 {
-		t.Errorf("FindFold(TIME) = %v", got)
 	}
 }
 

@@ -39,9 +39,6 @@ func (s *Schema) Validate(doc *xmldom.Document) []*ValidationError {
 	return errs
 }
 
-// Valid reports whether doc conforms to the schema.
-func (s *Schema) Valid(doc *xmldom.Document) bool { return len(s.Validate(doc)) == 0 }
-
 func validateElement(d *ElementDecl, el *xmldom.Element, errs *[]*ValidationError) {
 	path := el.Path()
 

@@ -125,23 +125,6 @@ func (e *ElementDecl) Attribute(name string) *AttrDecl {
 	return nil
 }
 
-// ElementNames returns the names of all element declarations in the schema,
-// in a stable depth-first order. Useful for schema matching.
-func (s *Schema) ElementNames() []string {
-	var names []string
-	var walk func(*ElementDecl)
-	walk = func(d *ElementDecl) {
-		names = append(names, d.Name)
-		for _, c := range d.Children {
-			walk(c)
-		}
-	}
-	if s.Root != nil {
-		walk(s.Root)
-	}
-	return names
-}
-
 // Lookup finds the declaration at a slash-separated path from the root,
 // e.g. "umd/Course/Section/Time". Returns nil if absent.
 func (s *Schema) Lookup(path string) *ElementDecl {
