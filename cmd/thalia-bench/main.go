@@ -1,79 +1,49 @@
-// Command thalia-bench runs the repo's performance harnesses and gates CI
-// on their results.
+// Command thalia-bench runs the chaos regression harness, replays run
+// journals, and times the XQuery engines against each other.
 //
-//	thalia-bench engine  [-out BENCH_engine.json] [-runs 3] [-pool N]
-//	                     [-profile DIR] [-journal run.jsonl]
 //	thalia-bench chaos   [-out BENCH_chaos.json] [-runs 3] [-pool N] [-seed 1]
-//	                     [-journal run.jsonl]
-//	thalia-bench scale   [-out BENCH_scale.json] [-sources 35,500,5000]
-//	                     [-mix uniform] [-seed 42] [-pool N] [-profile DIR]
-//	                     [-journal run.jsonl]
-//	thalia-bench server  [-out BENCH_server.json] [-clients 8] [-requests 50]
 //	thalia-bench plan    [-runs 200]
 //	thalia-bench report  [-json] [-require-complete] <journal.jsonl>
-//	thalia-bench compare -baseline BENCH_engine.json -fresh fresh.json
+//	thalia-bench compare -baseline BENCH_chaos.json -fresh fresh.json
 //	                     [-tolerance 0.30] [-slowdown 1.0]
 //
-// engine and chaos optionally flight-record one extra evaluation with
-// -journal: an append-only JSONL run journal (internal/journal) that report
-// replays into the run summary — CI uploads it and asserts the replay
-// reproduces the digest recorded in the journal's run-end event.
+// chaos times benchmark.MeasureChaos: the four built-in systems evaluated
+// under a seeded standard-mix fault plan with the default resilience
+// policy, the cost of retries, backoff and breaker accounting. No workload
+// of the end-to-end benchmark (bench/) injects faults, so this raw-time
+// artifact is the only gate on that cost. compare reads two chaos
+// artifacts and fails (exit 1) if the fresh run's ns/op of any
+// configuration, or its seq-to-pool speedup, regressed beyond the
+// tolerance; -slowdown multiplies the fresh numbers first, an injected
+// regression that proves the gate trips.
 //
-// engine times benchmark.MeasureEngine (the uncached sequential seed path
-// vs the shared-prep-cached sequential and pooled configurations, over the
-// four built-in systems, plus the xquery_eval interpreter-vs-plan engine
-// rows); -profile writes cpu.pprof and heap.pprof for the measurement to
-// DIR, so a red gate in CI is diagnosable from the uploaded artifact. chaos
-// times benchmark.MeasureChaos (the same evaluation under a seeded
-// standard-mix fault plan with the default resilience policy — the cost of
-// retries, backoff, and breaker accounting); server drives
-// website.MeasureServer (N concurrent clients replaying the
-// catalog/schema/query routes); plan reports per-query ns/op for the
-// compiled-plan engine — the default execution path — against the
-// reference interpreter (the -engine=interp escape hatch), checking result
-// equality as it goes. compare reads two artifacts of the same suite and
-// fails (exit 1) if the fresh run regressed beyond the tolerance:
-// engine/chaos ns/op per configuration (including the plan_cache and
-// xquery_eval rows), the seq→cached speedup ratio and the interp→plan
-// xquery_speedup ratio, server p95 per route. -slowdown multiplies the
-// fresh numbers first — an injected regression that proves the gate
-// actually trips.
-//
-// scale times scenario.MeasureScale: generated workloads of -sources
-// catalogs (comma-separated curve points) with the -mix heterogeneity mix,
-// evaluated by the scenario mediator on a streaming runner — documents
-// materialize per cell and are released, so memory stays O(pool) while the
-// curve's cells/sec rows pin throughput at each size in BENCH_scale.json,
-// split into the generator's share and the evaluation's; -profile writes
-// cpu.pprof and heap.pprof for the curve like engine's.
+// report replays a run journal (internal/journal), such as one that
+// `thalia bench --journal-dir` writes, into the run summary, and checks
+// that the replay reproduces the digest the journal's run-end event
+// recorded. plan reports per-query ns/op for the compiled-plan engine, the
+// default execution path, against the reference interpreter, checking
+// result equality as it goes.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
-	"runtime/pprof"
-	"strconv"
-	"strings"
 	"time"
 
 	"thalia/internal/benchmark"
 	"thalia/internal/buildinfo"
 	"thalia/internal/catalog"
 	"thalia/internal/cohera"
-	"thalia/internal/faultline"
 	"thalia/internal/integration"
 	"thalia/internal/iwiz"
 	"thalia/internal/journal"
 	"thalia/internal/rewrite"
-	"thalia/internal/scenario"
-	"thalia/internal/telemetry"
 	"thalia/internal/ufmw"
-	"thalia/internal/website"
 	"thalia/internal/xquery"
 	"thalia/internal/xquery/plan"
 )
@@ -87,149 +57,33 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("need a subcommand: engine | chaos | scale | server | plan | report | compare")
+		return fmt.Errorf("need a subcommand: chaos | plan | report | compare")
 	}
+	var cmd func([]string, io.Writer) error
 	switch args[0] {
-	case "engine":
-		return engineCmd(args[1:], out)
 	case "chaos":
-		return chaosCmd(args[1:], out)
-	case "scale":
-		return scaleCmd(args[1:], out)
-	case "server":
-		return serverCmd(args[1:], out)
+		cmd = chaosCmd
 	case "plan":
-		return planCmd(args[1:], out)
+		cmd = planCmd
 	case "report":
-		return reportCmd(args[1:], out)
+		cmd = reportCmd
 	case "compare":
-		return compareCmd(args[1:], out)
+		cmd = compareCmd
 	case "-version", "--version":
 		fmt.Fprintln(out, buildinfo.String("thalia-bench"))
 		return nil
 	default:
-		return fmt.Errorf("unknown subcommand %q (engine | chaos | scale | server | plan | report | compare)", args[0])
+		return fmt.Errorf("unknown subcommand %q (chaos | plan | report | compare)", args[0])
 	}
-}
-
-func systems() []integration.System {
-	return []integration.System{cohera.New(), iwiz.New(), ufmw.New(), rewrite.NewSystem()}
-}
-
-func engineCmd(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("engine", flag.ContinueOnError)
-	path := fs.String("out", "BENCH_engine.json", "artifact path")
-	runs := fs.Int("runs", 3, "EvaluateAll executions per configuration")
-	pool := fs.Int("pool", runtime.GOMAXPROCS(0), "parallel pool size to measure")
-	profileDir := fs.String("profile", "", "write cpu.pprof and heap.pprof for the measurement to this directory")
-	journalPath := fs.String("journal", "", "also flight-record one evaluation to this JSONL journal")
-	if err := fs.Parse(args); err != nil {
+	// -h prints the subcommand's usage; asking for help is not a failure.
+	if err := cmd(args[1:], out); !errors.Is(err, flag.ErrHelp) {
 		return err
-	}
-	if *pool < 2 {
-		*pool = 2
-	}
-	if *profileDir != "" {
-		stop, err := startProfiles(*profileDir)
-		if err != nil {
-			return err
-		}
-		defer stop()
-	}
-	rep, err := benchmark.MeasureEngine(*runs, []int{*pool}, systems()...)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(*path); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "engine: %d configs, speedup %.2fx, xquery speedup %.2fx, wrote %s\n",
-		len(rep.Timings), rep.Speedup, rep.XQuerySpeedup, *path)
-	if *journalPath != "" {
-		if err := journaledRun(*journalPath, "thalia-bench engine", *pool, 0, false); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "engine: journaled run written to %s\n", *journalPath)
 	}
 	return nil
 }
 
-// journaledRun executes one flight-recorded evaluation of the built-in
-// systems — with the standard chaos mix and resilience policy when chaos is
-// set — and writes its journal to path. The journal is the run's durable
-// artifact: `thalia-bench report` replays it, and CI asserts the replayed
-// digest matches the run-end record.
-func journaledRun(path, harness string, pool int, seed int64, chaos bool) error {
-	w, err := journal.Create(path)
-	if err != nil {
-		return err
-	}
-	rec := &journal.Recorder{W: w, RunID: runIDFromPath(path), Harness: harness}
-	runner := benchmark.NewRunner()
-	runner.Concurrency = pool
-	runner.Telemetry = telemetry.NewRegistry()
-	runner.Journal = rec
-	sys := systems()
-	if chaos {
-		plan := faultline.StandardMix(seed)
-		rec.Seed = seed
-		rec.FaultPlanDigest = plan.Digest()
-		runner.Resilience = benchmark.DefaultResilience(seed)
-		for i, s := range sys {
-			sys[i] = faultline.Wrap(s, plan, runner.Telemetry)
-		}
-	}
-	if _, err := runner.EvaluateAll(sys...); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
-}
-
-// runIDFromPath derives a run ID from the journal filename.
-func runIDFromPath(path string) string {
-	base := filepath.Base(path)
-	if ext := filepath.Ext(base); ext != "" {
-		base = base[:len(base)-len(ext)]
-	}
-	return base
-}
-
-// startProfiles begins a CPU profile in dir and returns a stop function
-// that finishes it and writes a heap profile alongside (cpu.pprof,
-// heap.pprof) — the artifacts CI uploads so a red benchmark gate is
-// diagnosable from the run page without a local repro.
-func startProfiles(dir string) (func(), error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	cpu, err := os.Create(filepath.Join(dir, "cpu.pprof"))
-	if err != nil {
-		return nil, err
-	}
-	if err := pprof.StartCPUProfile(cpu); err != nil {
-		cpu.Close()
-		return nil, err
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		if err := cpu.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "thalia-bench: close cpu profile:", err)
-		}
-		heap, err := os.Create(filepath.Join(dir, "heap.pprof"))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "thalia-bench: heap profile:", err)
-			return
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(heap); err != nil {
-			fmt.Fprintln(os.Stderr, "thalia-bench: heap profile:", err)
-		}
-		// Close explicitly: buffered profile writes surface their errors here.
-		if err := heap.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "thalia-bench: close heap profile:", err)
-		}
-	}, nil
+func systems() []integration.System {
+	return []integration.System{cohera.New(), iwiz.New(), ufmw.New(), rewrite.NewSystem()}
 }
 
 func chaosCmd(args []string, out io.Writer) error {
@@ -238,7 +92,6 @@ func chaosCmd(args []string, out io.Writer) error {
 	runs := fs.Int("runs", 3, "EvaluateAll executions per configuration")
 	pool := fs.Int("pool", runtime.GOMAXPROCS(0), "parallel pool size to measure")
 	seed := fs.Int64("seed", 1, "fault plan and jitter seed")
-	journalPath := fs.String("journal", "", "also flight-record one evaluation to this JSONL journal")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -253,112 +106,7 @@ func chaosCmd(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "chaos: %d configs, speedup %.2fx, wrote %s\n", len(rep.Timings), rep.Speedup, *path)
-	if *journalPath != "" {
-		if err := journaledRun(*journalPath, "thalia-bench chaos", *pool, *seed, true); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "chaos: journaled run written to %s\n", *journalPath)
-	}
 	return nil
-}
-
-// scaleCmd measures the scenario scaling curve and writes the
-// "benchmark_scale" artifact; -journal additionally flight-records one
-// streaming evaluation of the second curve point (500 sources by default)
-// for replay verification.
-func scaleCmd(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("scale", flag.ContinueOnError)
-	path := fs.String("out", "BENCH_scale.json", "artifact path")
-	sourcesFlag := fs.String("sources", "", "comma-separated curve points (default 35,500,5000)")
-	mixFlag := fs.String("mix", "uniform", "heterogeneity mix (e.g. uniform or synonyms:2,nulls)")
-	seed := fs.Int64("seed", 42, "workload generation seed")
-	pool := fs.Int("pool", runtime.GOMAXPROCS(0), "worker pool size")
-	profileDir := fs.String("profile", "", "write cpu.pprof and heap.pprof for the measurement to this directory")
-	journalPath := fs.String("journal", "", "also flight-record one evaluation to this JSONL journal")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	mix, err := scenario.ParseMix(*mixFlag)
-	if err != nil {
-		return err
-	}
-	points, err := parsePoints(*sourcesFlag)
-	if err != nil {
-		return err
-	}
-	if *profileDir != "" {
-		stop, err := startProfiles(*profileDir)
-		if err != nil {
-			return err
-		}
-		defer stop()
-	}
-	rep, err := scenario.MeasureScale(points, mix, *seed, *pool)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(*path); err != nil {
-		return err
-	}
-	for _, tm := range rep.Timings {
-		fmt.Fprintf(out, "scale: %-23s %10.0f cells/sec (%d run(s), %.1f ms/op)\n",
-			tm.Name, tm.CellsPerSec, tm.Runs, float64(tm.NsPerOp)/1e6)
-	}
-	fmt.Fprintf(out, "scale: wrote %s\n", *path)
-	if *journalPath != "" {
-		n := 500
-		if len(points) > 0 {
-			n = points[0]
-			if len(points) > 1 {
-				n = points[1]
-			}
-		}
-		if err := journaledScaleRun(*journalPath, n, mix, *seed, *pool); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "scale: journaled %d-source run written to %s\n", n, *journalPath)
-	}
-	return nil
-}
-
-// parsePoints parses the -sources list; empty means the default curve.
-func parsePoints(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var points []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("scale: bad -sources point %q", part)
-		}
-		points = append(points, n)
-	}
-	return points, nil
-}
-
-// journaledScaleRun flight-records one streaming scenario evaluation, the
-// scale counterpart of journaledRun: same recorder, scenario mediator and
-// streaming runner instead of the canonical systems.
-func journaledScaleRun(path string, sources int, mix scenario.Mix, seed int64, pool int) error {
-	sc, err := scenario.New(scenario.Params{Sources: sources, Seed: seed, Mix: mix})
-	if err != nil {
-		return err
-	}
-	w, err := journal.Create(path)
-	if err != nil {
-		return err
-	}
-	rec := &journal.Recorder{W: w, RunID: runIDFromPath(path), Harness: "thalia-bench scale", Seed: seed}
-	runner := benchmark.NewStreamingRunner(sc.Queries())
-	runner.Concurrency = pool
-	runner.Telemetry = telemetry.NewRegistry()
-	runner.Journal = rec
-	if _, err := runner.EvaluateAll(sc.NewMediator()); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
 }
 
 // reportCmd replays a run journal into its projection and renders the run
@@ -401,29 +149,6 @@ func reportCmd(args []string, out io.Writer) error {
 		return nil
 	}
 	fmt.Fprint(out, p.Report())
-	return nil
-}
-
-func serverCmd(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("server", flag.ContinueOnError)
-	path := fs.String("out", "BENCH_server.json", "artifact path")
-	clients := fs.Int("clients", 8, "concurrent clients")
-	requests := fs.Int("requests", 50, "requests per client")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	rep, err := website.MeasureServer(*clients, *requests)
-	if err != nil {
-		return err
-	}
-	if rep.Non200 > 0 {
-		return fmt.Errorf("load harness saw %d non-200 responses", rep.Non200)
-	}
-	if err := rep.WriteJSON(*path); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "server: %d requests at %.0f req/s over %d routes, wrote %s\n",
-		rep.TotalRequests, rep.ThroughputRPS, len(rep.Routes), *path)
 	return nil
 }
 
@@ -490,15 +215,11 @@ func planCmd(args []string, out io.Writer) error {
 	return nil
 }
 
-// suiteProbe reads just the suite discriminator of a BENCH_*.json file.
-type suiteProbe struct {
-	Suite string `json:"suite"`
-}
-
+// compareCmd gates a fresh chaos artifact against the committed one.
 func compareCmd(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
-	basePath := fs.String("baseline", "", "committed BENCH_*.json")
-	freshPath := fs.String("fresh", "", "freshly measured BENCH_*.json")
+	basePath := fs.String("baseline", "", "committed BENCH_chaos.json")
+	freshPath := fs.String("fresh", "", "freshly measured chaos artifact")
 	tolerance := fs.Float64("tolerance", 0.30, "allowed relative slowdown (0.30 = +30%)")
 	slowdown := fs.Float64("slowdown", 1.0, "multiply fresh numbers (gate self-test)")
 	if err := fs.Parse(args); err != nil {
@@ -507,45 +228,42 @@ func compareCmd(args []string, out io.Writer) error {
 	if *basePath == "" || *freshPath == "" {
 		return fmt.Errorf("compare: need -baseline and -fresh")
 	}
-	baseRaw, err := os.ReadFile(*basePath)
+	base, err := readReport(*basePath)
 	if err != nil {
 		return err
 	}
-	freshRaw, err := os.ReadFile(*freshPath)
+	fresh, err := readReport(*freshPath)
 	if err != nil {
 		return err
 	}
-	var baseProbe, freshProbe suiteProbe
-	if err := json.Unmarshal(baseRaw, &baseProbe); err != nil {
-		return fmt.Errorf("%s: %w", *basePath, err)
+	if base.Suite != fresh.Suite {
+		return fmt.Errorf("suite mismatch: baseline %q vs fresh %q", base.Suite, fresh.Suite)
 	}
-	if err := json.Unmarshal(freshRaw, &freshProbe); err != nil {
-		return fmt.Errorf("%s: %w", *freshPath, err)
+	if base.Suite != "benchmark_chaos" {
+		return fmt.Errorf("unknown suite %q", base.Suite)
 	}
-	if baseProbe.Suite != freshProbe.Suite {
-		return fmt.Errorf("suite mismatch: baseline %q vs fresh %q", baseProbe.Suite, freshProbe.Suite)
-	}
-
-	var regressions []string
-	switch baseProbe.Suite {
-	case "benchmark_engine", "benchmark_chaos", "benchmark_scale":
-		regressions, err = compareEngine(baseRaw, freshRaw, *tolerance, *slowdown, out)
-	case "website_server":
-		regressions, err = compareServer(baseRaw, freshRaw, *tolerance, *slowdown, out)
-	default:
-		return fmt.Errorf("unknown suite %q", baseProbe.Suite)
-	}
-	if err != nil {
-		return err
-	}
+	regressions := compareChaos(base, fresh, *tolerance, *slowdown, out)
 	if len(regressions) > 0 {
 		for _, r := range regressions {
 			fmt.Fprintf(out, "REGRESSION: %s\n", r)
 		}
 		return fmt.Errorf("%d metric(s) regressed beyond +%.0f%%", len(regressions), *tolerance*100)
 	}
-	fmt.Fprintf(out, "compare: %s within +%.0f%% of baseline\n", baseProbe.Suite, *tolerance*100)
+	fmt.Fprintf(out, "compare: %s within +%.0f%% of baseline\n", base.Suite, *tolerance*100)
 	return nil
+}
+
+// readReport reads a BENCH_*.json artifact.
+func readReport(path string) (*benchmark.Report, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var rep benchmark.Report
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &rep, nil
 }
 
 // check appends a regression line if fresh exceeds base by more than tol,
@@ -566,19 +284,14 @@ func check(out io.Writer, regressions []string, name string, base, fresh, tol fl
 	return regressions
 }
 
-func compareEngine(baseRaw, freshRaw []byte, tol, slowdown float64, out io.Writer) ([]string, error) {
-	var base, fresh benchmark.Report
-	if err := json.Unmarshal(baseRaw, &base); err != nil {
-		return nil, err
-	}
-	if err := json.Unmarshal(freshRaw, &fresh); err != nil {
-		return nil, err
-	}
+// compareChaos prints one row per configuration and the speedup, and
+// returns a line for each that regressed beyond tol.
+func compareChaos(base, fresh *benchmark.Report, tol, slowdown float64, out io.Writer) []string {
 	freshBy := map[string]benchmark.Timing{}
 	for _, tm := range fresh.Timings {
 		freshBy[tm.Name] = tm
 	}
-	fmt.Fprintf(out, "engine compare (%-s): baseline vs fresh ns/op\n", base.Suite)
+	fmt.Fprintf(out, "chaos compare: baseline vs fresh ns/op\n")
 	var regressions []string
 	for _, tm := range base.Timings {
 		ft, ok := freshBy[tm.Name]
@@ -602,49 +315,5 @@ func compareEngine(baseRaw, freshRaw []byte, tol, slowdown float64, out io.Write
 		}
 		fmt.Fprintf(out, "  %-34s %13.2fx %13.2fx         %s\n", "speedup", base.Speedup, fresh.Speedup, status)
 	}
-	// XQuerySpeedup gates the engine flip the same way: the compiled-plan
-	// engine must stay ahead of the reference interpreter by at least the
-	// tolerance's share of the committed ratio.
-	if base.XQuerySpeedup > 0 {
-		floor := base.XQuerySpeedup * (1 - tol)
-		status := "ok"
-		if fresh.XQuerySpeedup < floor {
-			status = "REGRESSED"
-			regressions = append(regressions,
-				fmt.Sprintf("xquery_speedup: %.2fx vs baseline %.2fx (floor %.2fx)",
-					fresh.XQuerySpeedup, base.XQuerySpeedup, floor))
-		}
-		fmt.Fprintf(out, "  %-34s %13.2fx %13.2fx         %s\n",
-			"xquery_speedup", base.XQuerySpeedup, fresh.XQuerySpeedup, status)
-	}
-	return regressions, nil
-}
-
-func compareServer(baseRaw, freshRaw []byte, tol, slowdown float64, out io.Writer) ([]string, error) {
-	var base, fresh website.ServerReport
-	if err := json.Unmarshal(baseRaw, &base); err != nil {
-		return nil, err
-	}
-	if err := json.Unmarshal(freshRaw, &fresh); err != nil {
-		return nil, err
-	}
-	freshBy := map[string]website.RouteTiming{}
-	for _, rt := range fresh.Routes {
-		freshBy[rt.Route] = rt
-	}
-	fmt.Fprintf(out, "server compare: baseline vs fresh p95 per route\n")
-	var regressions []string
-	for _, rt := range base.Routes {
-		ft, ok := freshBy[rt.Route]
-		if !ok {
-			regressions = append(regressions, fmt.Sprintf("%s: missing from fresh run", rt.Route))
-			continue
-		}
-		regressions = check(out, regressions, rt.Route, rt.P95MS, ft.P95MS*slowdown, tol, "ms")
-	}
-	if fresh.Non200 > base.Non200 {
-		regressions = append(regressions,
-			fmt.Sprintf("non-200 responses: %d vs baseline %d", fresh.Non200, base.Non200))
-	}
-	return regressions, nil
+	return regressions
 }

@@ -7,28 +7,42 @@ import (
 	"strings"
 	"testing"
 
+	"thalia/internal/benchmark"
 	"thalia/internal/journal"
+	"thalia/internal/telemetry"
 )
 
-// engine -journal flight-records a run whose report replays to the exact
-// digest the run-end event stamped — the acceptance loop CI runs.
-func TestEngineJournalAndReport(t *testing.T) {
-	dir := t.TempDir()
-	artifact := filepath.Join(dir, "engine.json")
-	jpath := filepath.Join(dir, "engine-run.jsonl")
-	var out strings.Builder
-	if err := run([]string{"engine", "-out", artifact, "-runs", "1", "-pool", "2", "-journal", jpath}, &out); err != nil {
-		t.Fatalf("engine: %v\n%s", err, out.String())
+// writeJournal flight-records one evaluation of the built-in systems, as
+// thalia bench --journal-dir does, and returns the journal's path.
+func writeJournal(t *testing.T, dir, id string) string {
+	t.Helper()
+	path := filepath.Join(dir, id+".jsonl")
+	w, err := journal.Create(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "journaled run written to "+jpath) {
-		t.Errorf("missing journal notice:\n%s", out.String())
+	runner := benchmark.NewRunner()
+	runner.Concurrency = 2
+	runner.Telemetry = telemetry.NewRegistry()
+	runner.Journal = &journal.Recorder{W: w, RunID: id, Harness: "report test"}
+	if _, err := runner.EvaluateAll(systems()...); err != nil {
+		t.Fatal(err)
 	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
-	out.Reset()
+// report replays a flight-recorded run to the exact digest its run-end
+// event stamped: the acceptance loop CI runs on every journal it writes.
+func TestEngineJournalAndReport(t *testing.T) {
+	jpath := writeJournal(t, t.TempDir(), "engine-run")
+	var out strings.Builder
 	if err := run([]string{"report", "-require-complete", jpath}, &out); err != nil {
 		t.Fatalf("report: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"engine-run", "thalia-bench engine", "Ranking", "recorded digest: sha256:"} {
+	for _, want := range []string{"engine-run", "report test", "Ranking", "recorded digest: sha256:"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("report missing %q:\n%s", want, out.String())
 		}
@@ -47,28 +61,6 @@ func TestEngineJournalAndReport(t *testing.T) {
 	}
 	if sum.RecordedDigest == "" || sum.RecordedDigest != sum.ReplayedDigest {
 		t.Errorf("replay does not reproduce the recorded digest: %q vs %q", sum.RecordedDigest, sum.ReplayedDigest)
-	}
-}
-
-// chaos -journal records seed, fault-plan digest and attempt histories.
-func TestChaosJournal(t *testing.T) {
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "chaos-run.jsonl")
-	var out strings.Builder
-	if err := run([]string{"chaos", "-out", filepath.Join(dir, "chaos.json"),
-		"-runs", "1", "-pool", "2", "-seed", "7", "-journal", jpath}, &out); err != nil {
-		t.Fatalf("chaos: %v\n%s", err, out.String())
-	}
-	events, err := journal.ReadFile(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := journal.Replay(events)
-	if err := p.Verify(); err != nil {
-		t.Fatalf("chaos journal does not verify: %v", err)
-	}
-	if p.Start.Seed != 7 || p.Start.FaultPlanDigest == "" || !p.Start.Resilience {
-		t.Errorf("chaos provenance missing: %+v", p.Start)
 	}
 }
 
@@ -103,11 +95,7 @@ func TestReportRejectsBadJournals(t *testing.T) {
 	}
 
 	// A tampered journal (cell event removed) must fail digest verification.
-	if err := run([]string{"engine", "-out", filepath.Join(dir, "e.json"), "-runs", "1", "-pool", "2",
-		"-journal", filepath.Join(dir, "tamper.jsonl")}, &out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "tamper.jsonl"))
+	data, err := os.ReadFile(writeJournal(t, dir, "tamper"))
 	if err != nil {
 		t.Fatal(err)
 	}

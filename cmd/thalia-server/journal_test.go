@@ -23,6 +23,17 @@ func TestServerVersionFlag(t *testing.T) {
 	}
 }
 
+// -h prints the flags and is not a failure.
+func TestServerHelpFlag(t *testing.T) {
+	var stderr syncBuffer
+	if err := run(context.Background(), []string{"-h"}, io.Discard, &stderr); err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+	if !strings.Contains(stderr.String(), "-journal-dir") {
+		t.Errorf("usage = %q", stderr.String())
+	}
+}
+
 // Boot with -journal-dir, start a run over HTTP, and require the journal
 // on disk once the run reports complete.
 func TestServerJournalDir(t *testing.T) {

@@ -60,6 +60,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	journalDir := fs.String("journal-dir", "", "persist benchmark-run journals to this directory (and reload them on start)")
 	version := fs.Bool("version", false, "print version and exit")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h printed the usage; asking for help is not a failure
+		}
 		return err
 	}
 	if *version {

@@ -30,6 +30,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -279,6 +280,9 @@ func bench(args []string) error {
 	fs.StringVar(&mixArg, "mix", "", "heterogeneity mix of the generated workload")
 	fs.IntVar(&scenarioSize, "scenario-size", 0, "courses per generated catalog")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h printed the usage; asking for help is not a failure
+		}
 		return fmt.Errorf("bench: %w", err)
 	}
 	if fs.NArg() > 0 {

@@ -84,6 +84,13 @@ func TestRunNoArgsShowsUsage(t *testing.T) {
 	}
 }
 
+// bench -h prints the flags and is not a failure.
+func TestBenchHelpSucceeds(t *testing.T) {
+	if err := run([]string{"bench", "-h"}); err != nil {
+		t.Errorf("bench -h: %v", err)
+	}
+}
+
 func TestExportAndValidate(t *testing.T) {
 	dir := t.TempDir()
 	if err := run([]string{"export", dir}); err != nil {

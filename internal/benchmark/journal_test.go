@@ -11,8 +11,8 @@ import (
 	"thalia/internal/telemetry"
 )
 
-// journaledRunner builds a runner with a flight recorder writing into buf.
-func journaledRunner(buf *bytes.Buffer, workers int, res *Resilience) *Runner {
+// recordingRunner builds a runner with a flight recorder writing into buf.
+func recordingRunner(buf *bytes.Buffer, workers int, res *Resilience) *Runner {
 	return &Runner{
 		Queries: Queries(), Concurrency: workers, Prep: NewPrepCache(),
 		Resilience: res,
@@ -32,7 +32,7 @@ func TestJournalDoesNotPerturbScorecards(t *testing.T) {
 	want := renderCards(plain)
 	for _, workers := range []int{1, 2, 8} {
 		var buf bytes.Buffer
-		cards, err := journaledRunner(&buf, workers, nil).EvaluateAll(allSystems()...)
+		cards, err := recordingRunner(&buf, workers, nil).EvaluateAll(allSystems()...)
 		if err != nil {
 			t.Fatalf("concurrency %d: %v", workers, err)
 		}
@@ -46,7 +46,7 @@ func TestJournalDoesNotPerturbScorecards(t *testing.T) {
 // the run-end event recorded — the digest ties live run to replay.
 func TestJournalReplayReproducesRunDigest(t *testing.T) {
 	var buf bytes.Buffer
-	cards, err := journaledRunner(&buf, 4, nil).EvaluateAll(allSystems()...)
+	cards, err := recordingRunner(&buf, 4, nil).EvaluateAll(allSystems()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestJournalCapturesChaosRun(t *testing.T) {
 		wrapped = append(wrapped, faultline.Wrap(sys, plan, nil))
 	}
 	var buf bytes.Buffer
-	r := journaledRunner(&buf, 4, DefaultResilience(3))
+	r := recordingRunner(&buf, 4, DefaultResilience(3))
 	r.Journal.Seed = 3
 	r.Journal.FaultPlanDigest = plan.Digest()
 	if _, err := r.EvaluateAll(wrapped...); err != nil {
@@ -125,7 +125,7 @@ func TestJournalCapturesChaosRun(t *testing.T) {
 // with latency measured.
 func TestJournalCellLifecycleComplete(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := journaledRunner(&buf, 2, nil).EvaluateAll(allSystems()...); err != nil {
+	if _, err := recordingRunner(&buf, 2, nil).EvaluateAll(allSystems()...); err != nil {
 		t.Fatal(err)
 	}
 	events, err := journal.ReadAll(bytes.NewReader(buf.Bytes()))
@@ -185,7 +185,7 @@ func TestJournalRankMatchesBenchmarkRank(t *testing.T) {
 // runtime vitals, and the final snapshot lands before run_end.
 func TestJournalSamplesTelemetry(t *testing.T) {
 	var buf bytes.Buffer
-	r := journaledRunner(&buf, 2, nil)
+	r := recordingRunner(&buf, 2, nil)
 	r.Telemetry = telemetry.NewRegistry()
 	r.Journal.TelemetryInterval = time.Millisecond
 	if _, err := r.EvaluateAll(allSystems()...); err != nil {

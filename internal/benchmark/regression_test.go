@@ -1,64 +1,6 @@
 package benchmark
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"runtime"
-	"testing"
-)
-
-// TestBenchReportJSON runs the regression harness end-to-end and checks the
-// emitted BENCH_*.json artifact round-trips with sane contents. Timings are
-// recorded, not asserted — CI machines are too noisy to pin a speedup.
-// Set THALIA_BENCH_DIR to keep the artifact (e.g. for CI upload).
-func TestBenchReportJSON(t *testing.T) {
-	dir := os.Getenv("THALIA_BENCH_DIR")
-	if dir == "" {
-		dir = t.TempDir()
-	}
-	pool := runtime.GOMAXPROCS(0)
-	if pool < 2 {
-		pool = 2
-	}
-	rep, err := MeasureEngine(1, []int{pool}, allSystems()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "BENCH_engine.json")
-	if err := rep.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Report
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if got.Suite != "benchmark_engine" {
-		t.Errorf("suite = %q, want benchmark_engine", got.Suite)
-	}
-	if len(got.Systems) != 4 {
-		t.Errorf("systems = %v, want the four testbed systems", got.Systems)
-	}
-	if len(got.Timings) < 2 {
-		t.Fatalf("timings = %v, want sequential plus at least one pool size", got.Timings)
-	}
-	if got.Timings[0].Name != "evaluate_all/seq" {
-		t.Errorf("first timing = %q, want evaluate_all/seq", got.Timings[0].Name)
-	}
-	for _, tm := range got.Timings {
-		if tm.NsPerOp <= 0 {
-			t.Errorf("%s: ns_per_op = %d, want > 0", tm.Name, tm.NsPerOp)
-		}
-	}
-	if got.Speedup <= 0 {
-		t.Errorf("speedup = %v, want > 0", got.Speedup)
-	}
-	t.Logf("speedup %.2fx at gomaxprocs=%d", got.Speedup, got.GoMaxProcs)
-}
+import "testing"
 
 func BenchmarkEvaluateAllSequential(b *testing.B) {
 	systems := allSystems()

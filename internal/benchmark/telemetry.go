@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"thalia/internal/faultline"
 	"thalia/internal/telemetry"
 )
 
@@ -56,7 +57,9 @@ func (r *Runner) recordCell(system string, q *Query, res QueryResult, d time.Dur
 
 // FormatEngineMetrics renders an engine metrics snapshot as the text block
 // `thalia bench --telemetry` prints: per-query p95 evaluation latency by
-// system, queue-wait quantiles, and error/timeout totals.
+// system, queue-wait quantiles, and error/timeout totals, plus, when the
+// run injected faults or the resilience policy acted, the totals of
+// injected faults, retries, shed attempts and degraded cells.
 func FormatEngineMetrics(snap *telemetry.Snapshot) string {
 	var b strings.Builder
 	b.WriteString("Engine telemetry\n\n")
@@ -77,6 +80,7 @@ func FormatEngineMetrics(snap *telemetry.Snapshot) string {
 		}
 	}
 	cells, errs, timeouts := int64(0), int64(0), int64(0)
+	faults, retries, shed, degraded := int64(0), int64(0), int64(0), int64(0)
 	for _, c := range snap.Counters {
 		switch c.Name {
 		case MetricCells:
@@ -85,9 +89,20 @@ func FormatEngineMetrics(snap *telemetry.Snapshot) string {
 			errs += c.Value
 		case MetricTimeouts:
 			timeouts += c.Value
+		case faultline.MetricInjected:
+			faults += c.Value
+		case MetricRetries:
+			retries += c.Value
+		case MetricShed:
+			shed += c.Value
+		case MetricDegraded:
+			degraded += c.Value
 		}
 	}
 	fmt.Fprintf(&b, "Cells evaluated: %d  errors: %d  timeouts: %d\n", cells, errs, timeouts)
+	if faults+retries+shed+degraded > 0 {
+		fmt.Fprintf(&b, "Faults injected: %d  retries: %d  shed: %d  degraded: %d\n", faults, retries, shed, degraded)
+	}
 	for _, g := range snap.Gauges {
 		if g.Name == MetricWorkers {
 			fmt.Fprintf(&b, "Worker pool size: %d\n", g.Value)

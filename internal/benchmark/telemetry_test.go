@@ -2,10 +2,12 @@ package benchmark
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"thalia/internal/faultline"
 	"thalia/internal/integration"
 	"thalia/internal/telemetry"
 )
@@ -75,6 +77,54 @@ func TestRunnerTelemetry(t *testing.T) {
 		if !strings.Contains(out, wantStr) {
 			t.Errorf("FormatEngineMetrics missing %q:\n%s", wantStr, out)
 		}
+	}
+	if strings.Contains(out, "Faults injected") {
+		t.Errorf("a run without faults printed a fault line:\n%s", out)
+	}
+}
+
+// Under injected faults the printed block carries the fault, retry, shed
+// and degraded totals, and each agrees with the scorecards' attempt
+// histories. Only failing faults are planned, so every injected fault ends
+// one attempt; IWIZ fails every call, which opens its breaker.
+func TestFormatEngineMetricsShowsChaos(t *testing.T) {
+	plan := &faultline.Plan{Seed: 7, Rules: []faultline.Rule{
+		{Kind: faultline.KindTransient, Probability: 0.4},
+		{System: "IWIZ", Kind: faultline.KindPermanent},
+	}}
+	reg := telemetry.NewRegistry()
+	sys := allSystems()
+	for i, s := range sys {
+		sys[i] = faultline.Wrap(s, plan, reg)
+	}
+	r := &Runner{Queries: Queries(), Concurrency: 2, Telemetry: reg, Resilience: DefaultResilience(7)}
+	cards, err := r.EvaluateAll(sys...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var faults, retries, shed, degraded int
+	for _, c := range cards {
+		for _, res := range c.Results {
+			retries += len(res.Attempts) - 1
+			for _, a := range res.Attempts {
+				if a.Shed {
+					shed++
+				}
+				if strings.HasPrefix(a.Err, "faultline: injected") {
+					faults++
+				}
+			}
+			if res.Degraded {
+				degraded++
+			}
+		}
+	}
+	if faults == 0 || retries == 0 || shed == 0 || degraded == 0 {
+		t.Fatalf("plan too mild: faults %d, retries %d, shed %d, degraded %d", faults, retries, shed, degraded)
+	}
+	want := fmt.Sprintf("Faults injected: %d  retries: %d  shed: %d  degraded: %d\n", faults, retries, shed, degraded)
+	if out := FormatEngineMetrics(reg.Snapshot()); !strings.Contains(out, want) {
+		t.Errorf("FormatEngineMetrics missing %q:\n%s", want, out)
 	}
 }
 

@@ -167,7 +167,9 @@ type Answer struct {
 type Row map[string]string
 
 // Key renders a row canonically (sorted fields) for set comparison:
-// "field=value" pairs joined by "|".
+// "field=value" pairs joined by "|", with every `\`, `|` and `=` inside a
+// field or value escaped by a `\`, so no value can forge a separator and
+// two rows share a key only when they are equal.
 func (r Row) Key() string {
 	var buf [16]string // rows hold a handful of fields; more spill to the heap
 	keys := buf[:0]
@@ -183,11 +185,25 @@ func (r Row) Key() string {
 		if i > 0 {
 			b.WriteByte('|')
 		}
-		b.WriteString(k)
+		writeKeyPart(&b, k)
 		b.WriteByte('=')
-		b.WriteString(r[k])
+		writeKeyPart(&b, r[k])
 	}
 	return b.String()
+}
+
+// writeKeyPart writes s into a row key, escaping Key's separators.
+func writeKeyPart(b *strings.Builder, s string) {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '\\', '|', '=':
+			b.WriteString(s[start:i])
+			b.WriteByte('\\')
+			start = i
+		}
+	}
+	b.WriteString(s[start:])
 }
 
 // System is an integration system that can be evaluated on the benchmark.

@@ -43,9 +43,10 @@ func TestRowKeyCanonical(t *testing.T) {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
+		esc := strings.NewReplacer(`\`, `\\`, `|`, `\|`, `=`, `\=`)
 		parts := make([]string, len(keys))
 		for i, k := range keys {
-			parts[i] = k + "=" + r[k]
+			parts[i] = esc.Replace(k) + "=" + esc.Replace(r[k])
 		}
 		if got, want := r.Key(), strings.Join(parts, "|"); got != want {
 			t.Errorf("Key(%v) = %q, want %q", r, got, want)
@@ -77,6 +78,12 @@ func TestMatchRows(t *testing.T) {
 	missing, extra = MatchRows(want, append([]Row{{"course": "2"}}, want[:2]...))
 	if len(missing) != 0 || len(extra) != 0 {
 		t.Errorf("multiset match failed: missing=%v extra=%v", missing, extra)
+	}
+	// One field whose value spells a second field is not that row.
+	missing, extra = MatchRows([]Row{{"course": "CS1", "title": "Databases"}},
+		[]Row{{"course": "CS1|title=Databases"}})
+	if len(missing) != 1 || len(extra) != 1 {
+		t.Errorf("forged separator: missing=%v extra=%v, want one of each", missing, extra)
 	}
 }
 

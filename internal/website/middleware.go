@@ -200,7 +200,3 @@ func (s *Site) recoverPanics() middleware {
 		})
 	}
 }
-
-// Metrics returns the site's metrics registry — shared by the HTTP
-// middleware and the server-side benchmark runs, and exposed at /metrics.
-func (s *Site) Metrics() *telemetry.Registry { return s.metrics }

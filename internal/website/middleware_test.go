@@ -47,7 +47,7 @@ func TestPanicRecovery(t *testing.T) {
 		t.Errorf("status = %d, want 500", rec.Code)
 	}
 	var panics int64
-	for _, c := range s.Metrics().Snapshot().Counters {
+	for _, c := range s.metrics.Snapshot().Counters {
 		if c.Name == MetricHTTPPanics {
 			panics += c.Value
 		}
@@ -64,7 +64,7 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	// The 500 is still counted as a request on the route.
 	found := false
-	for _, c := range s.Metrics().Snapshot().Counters {
+	for _, c := range s.metrics.Snapshot().Counters {
 		if c.Name == MetricHTTPRequests && c.Labels["code"] == "500" && c.Labels["route"] == "/catalogs" {
 			found = c.Value == 1
 		}
@@ -134,7 +134,7 @@ func TestPerRouteMetrics(t *testing.T) {
 	get(t, h, "/catalogs/cmu")
 	get(t, h, "/totally/unknown")
 
-	snap := s.Metrics().Snapshot()
+	snap := s.metrics.Snapshot()
 	counts := map[string]int64{}
 	for _, c := range snap.Counters {
 		if c.Name == MetricHTTPRequests {
@@ -352,7 +352,7 @@ func TestObserverConcurrent(t *testing.T) {
 		t.Errorf("%d distinct request IDs, want %d", len(ids), servers*perServer)
 	}
 	var unmatched int64
-	for _, c := range s.Metrics().Snapshot().Counters {
+	for _, c := range s.metrics.Snapshot().Counters {
 		if c.Name == MetricHTTPRequests && c.Labels["route"] == "unmatched" {
 			unmatched += c.Value
 		}
@@ -434,41 +434,44 @@ func TestDebugExplain(t *testing.T) {
 	}
 }
 
-func TestMeasureServer(t *testing.T) {
-	rep, err := MeasureServer(4, 14) // 2 round-robin laps over the 7 routes
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Suite != "website_server" {
-		t.Errorf("suite = %q", rep.Suite)
-	}
-	if rep.TotalRequests != 4*14 {
-		t.Errorf("total = %d, want 56", rep.TotalRequests)
-	}
-	if rep.Non200 != 0 {
-		t.Errorf("non-200 responses = %d, want 0", rep.Non200)
-	}
-	if rep.ThroughputRPS <= 0 || rep.DurationNS <= 0 {
-		t.Errorf("throughput/duration = %v/%v", rep.ThroughputRPS, rep.DurationNS)
-	}
-	if len(rep.Routes) != len(LoadRoutes) {
-		t.Fatalf("routes = %d, want %d", len(rep.Routes), len(LoadRoutes))
-	}
-	for _, rt := range rep.Routes {
-		if rt.Requests == 0 {
-			t.Errorf("route %s has no requests", rt.Route)
-		}
-		if rt.P95MS < rt.P50MS {
-			t.Errorf("route %s: p95 %v < p50 %v", rt.Route, rt.P95MS, rt.P50MS)
+// Every route the benchmark's site workload browses answers 200 on a fresh
+// site, through the full middleware stack.
+func TestLoadRoutesAnswerOK(t *testing.T) {
+	h := New().Handler()
+	for _, route := range LoadRoutes {
+		w := &discardWriter{header: http.Header{}}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, route, nil))
+		if w.status() != http.StatusOK {
+			t.Errorf("GET %s: %d, want 200", route, w.status())
 		}
 	}
-	dir := t.TempDir()
-	path := dir + "/BENCH_server.json"
-	if err := rep.WriteJSON(path); err != nil {
-		t.Fatal(err)
+}
+
+// discardWriter is a ResponseWriter that throws the body away, so a test
+// can time or count a handler without buffering its page.
+type discardWriter struct {
+	header http.Header
+	code   int
+}
+
+func (w *discardWriter) Header() http.Header { return w.header }
+
+func (w *discardWriter) Write(b []byte) (int, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
 	}
-	rec, _ := get(t, New().Handler(), "/healthz") // unrelated sanity ping
-	if rec.Code != http.StatusOK {
-		t.Error("healthz failed after load run")
+	return len(b), nil
+}
+
+func (w *discardWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
 	}
+}
+
+func (w *discardWriter) status() int {
+	if w.code == 0 {
+		return http.StatusOK
+	}
+	return w.code
 }

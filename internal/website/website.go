@@ -92,6 +92,20 @@ func (s *Site) Handler() http.Handler {
 	)
 }
 
+// LoadRoutes are the site's hot read paths: the catalog, schema and query
+// pages and the health probe, each answering 200 on a fresh site. The
+// end-to-end benchmark's site workload browses them. The download routes
+// are left out: they time archive/zip, not the site.
+var LoadRoutes = []string{
+	"/",
+	"/catalogs",
+	"/catalogs/brown",
+	"/browse/cmu",
+	"/schema/cmu",
+	"/queries",
+	"/healthz",
+}
+
 // metricsPage serves the site registry: JSON by default, Prometheus text
 // exposition with ?format=prometheus. Every scrape first samples the Go
 // runtime's vitals (goroutines, heap, GC pause p99, GOMAXPROCS) into the
