@@ -6,8 +6,8 @@
 // publish, variables are bound, functions exist, comparison operands unify
 // under the schema, the declarative mediation tables point at real schema
 // locations, the testbed sources materialize and validate, and the
-// hand-assigned complexity levels agree with the automatic estimate (or
-// carry a documented waiver).
+// complexity level the reference mediator charges for each query agrees
+// with the automatic estimate (or carries a documented waiver).
 //
 // The Go head type-checks the module with go/types and runs repo-specific
 // analyzers. The classic set — determinism, panicpath, errcheck,

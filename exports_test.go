@@ -21,7 +21,6 @@ var testOnlyExports = map[string]string{
 	"Outline":            "explain and plan tests, and the explain goldens, read a trace's operator tree without timings",
 	"To12Hour":           "the inverse of the 24-hour transform, the oracle of its round-trip property",
 	"ToGerman":           "the definition ValueContains is checked against, and the paper's query 5 expansion",
-	"StmtCacheLen":       "minidb tests observe that a repeated SELECT is prepared once",
 	"SetEqIndexDisabled": "the index oracle: tests compare indexed and unindexed minidb results",
 	"RefRows":            "scenario tests check generated truth against an independent evaluation",
 	"ReferenceDocument":  "scenario and detector tests read a source in the reference shape",

@@ -6,9 +6,10 @@
 // XML Schemas the testbed's catalogs actually emit, variables are bound,
 // functions exist, comparison operands unify under the schema, the
 // declarative mediation tables point at real schema locations, and the
-// hand-assigned per-query complexity levels agree with an automatic
-// estimate derived from the query text and the reference/challenge schema
-// gap (divergences must carry a documented waiver).
+// complexity level the reference mediator charges for each query agrees
+// with an automatic estimate derived from the query text and the
+// reference/challenge schema gap (divergences must carry a documented
+// waiver).
 //
 // The Go head is a small analyzer framework over go/ast and go/types (no
 // external dependencies, mirroring the structure of the go vet driver) with

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -124,4 +125,45 @@ func TestExitCode(t *testing.T) {
 			t.Errorf("%s: ExitCode = %d, want %d", c.name, got, c.want)
 		}
 	}
+}
+
+// FuzzLoadBaseline: a baseline file is outside input. LoadBaseline must
+// never panic, and a baseline it accepts must marshal to the canonical
+// form and reload to the same entries, so `-update-baseline` is a no-op on
+// anything it can read.
+func FuzzLoadBaseline(f *testing.F) {
+	committed, err := os.ReadFile(filepath.Join("..", "..", "vet.baseline.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(committed)
+	f.Add([]byte(`{"version":1,"findings":[{"id":"vet-0123456789ab","check":"ctxflow","file":"a/a.go","symbol":"a.F","message":"context dropped"}]}`))
+	f.Add([]byte(`{"version":2,"findings":[]}`))
+	f.Add([]byte(`{"version":1,"findings":[{"id":"vet-01`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "vet.baseline.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		b, err := LoadBaseline(path)
+		if err != nil {
+			return
+		}
+		canon, err := b.Marshal()
+		if err != nil {
+			t.Fatalf("loaded baseline does not marshal: %v", err)
+		}
+		again := filepath.Join(dir, "again.json")
+		if err := os.WriteFile(again, canon, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reloaded, err := LoadBaseline(again)
+		if err != nil {
+			t.Fatalf("canonical form does not reload: %v\n%s", err, canon)
+		}
+		if !reflect.DeepEqual(reloaded.Findings, b.Findings) {
+			t.Fatalf("reload changed the entries:\nloaded   %+v\nreloaded %+v", b.Findings, reloaded.Findings)
+		}
+	})
 }

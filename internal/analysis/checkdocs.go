@@ -14,9 +14,9 @@ func QueryCheckDocs() []CheckDoc {
 		{"parse", "every benchmark query text parses"},
 		{"dead-path", "every path step resolves against the catalog schemas"},
 		{"unbound-var", "every $variable is bound by an enclosing for/let"},
-		{"unknown-func", "every called function is a builtin or declared external"},
+		{"unknown-func", "every called function is a builtin"},
 		{"type-unify", "comparison operands unify under the schema's types"},
-		{"complexity", "hand-assigned complexities match the automatic estimate (or are waived)"},
+		{"complexity", "the reference mediator's charged complexities match the automatic estimate (or are waived)"},
 		{"mapping", "mediation tables resolve against source schemas; global queries are fully mapped"},
 		{"catalog", "every source materializes, validates, and round-trips its schema"},
 	}

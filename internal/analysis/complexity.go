@@ -7,26 +7,57 @@ import (
 
 	"thalia/internal/benchmark"
 	"thalia/internal/mapping"
+	"thalia/internal/ufmw"
 	"thalia/internal/xquery"
 	"thalia/internal/xsd"
 )
 
-// This file implements thalia-vet's complexity cross-check. The benchmark
-// hand-assigns each query a complexity level (the weight of the hardest
-// external function the reference mediator needs, per the paper's Section 3
-// convention). That table is ground truth the scoring depends on, so the
-// analyzer recomputes an estimate from the query text and the
-// reference/challenge schema gap and fails on unexplained divergence.
-// Divergences with a documented explanation are waived — waivers are
-// first-class so the exceptions stay visible and go stale loudly.
+// This file implements thalia-vet's complexity cross-check. A query's
+// complexity level is the weight of the hardest external function the
+// reference mediator (internal/ufmw, which scores 12/12) charges in its
+// answer, per the paper's Section 3 convention. Those charges break ties in
+// the ranking, so the analyzer recomputes an estimate from the query text
+// and the reference/challenge schema gap and fails on unexplained
+// divergence. Divergences with a documented explanation are waived —
+// waivers are first-class so the exceptions stay visible and go stale
+// loudly.
+
+// ComplexityLevel grades the integration effort a benchmark query demands.
+type ComplexityLevel int
+
+// Levels, in increasing order of required custom code.
+const (
+	// ComplexityNone: resolvable by declarative renaming alone.
+	ComplexityNone ComplexityLevel = iota
+	// ComplexityLow: a simple value conversion (paper weight 1).
+	ComplexityLow
+	// ComplexityMedium: structural decomposition or inference (weight 2).
+	ComplexityMedium
+	// ComplexityHigh: semantic translation or dual-NULL reasoning (weight 3).
+	ComplexityHigh
+)
+
+// String names the level the way the paper's prose does.
+func (l ComplexityLevel) String() string {
+	switch l {
+	case ComplexityNone:
+		return "none"
+	case ComplexityLow:
+		return "low"
+	case ComplexityMedium:
+		return "medium"
+	case ComplexityHigh:
+		return "high"
+	default:
+		return "unknown"
+	}
+}
 
 // ComplexityEstimate is the automatic complexity estimate for one query.
 type ComplexityEstimate struct {
-	QueryID int                       `json:"query"`
-	Level   benchmark.ComplexityLevel `json:"level"`
-	Score   int                       `json:"score"`
-	// ExtFuncs counts non-builtin function calls in the query text.
-	ExtFuncs int `json:"extFuncs"`
+	QueryID int             `json:"query"`
+	Level   ComplexityLevel `json:"level"`
+	Score   int             `json:"score"`
 	// FLWORDepth is the maximum FLWOR nesting depth.
 	FLWORDepth int `json:"flworDepth"`
 	// CtorCount counts constructed elements in the return clause.
@@ -42,9 +73,6 @@ type ComplexityEstimate struct {
 // Explain renders the estimate's derivation for finding messages.
 func (e ComplexityEstimate) Explain() string {
 	var parts []string
-	if e.ExtFuncs > 0 {
-		parts = append(parts, fmt.Sprintf("%d external function call(s)", e.ExtFuncs))
-	}
 	if e.FLWORDepth > 1 {
 		parts = append(parts, fmt.Sprintf("FLWOR nesting depth %d", e.FLWORDepth))
 	}
@@ -67,8 +95,7 @@ func (e ComplexityEstimate) Explain() string {
 // EstimateComplexity derives a complexity estimate for a query against the
 // challenge schema it must be answered over. The score model:
 //
-//	score = extFuncs                         // explicit escape hatches
-//	      + (flworDepth - 1)                 // nested restructuring
+//	score = (flworDepth - 1)                 // nested restructuring
 //	      + ctorBonus                        // heavy result reshaping (≥3 ctors)
 //	      + gap                              // reference/challenge schema gap
 //
@@ -82,7 +109,6 @@ func EstimateComplexity(q *benchmark.Query, challenge *xsd.Schema) (ComplexityEs
 	if err != nil {
 		return est, fmt.Errorf("query %d does not parse: %w", q.ID, err)
 	}
-	est.ExtFuncs = countExternalCalls(expr)
 	est.FLWORDepth = flworDepth(expr)
 	est.CtorCount = ctorCount(expr)
 	est.Translation = schemaNeedsTranslation(challenge)
@@ -97,7 +123,7 @@ func EstimateComplexity(q *benchmark.Query, challenge *xsd.Schema) (ComplexityEs
 			gap = 2
 		}
 	}
-	est.Score = est.ExtFuncs + gap
+	est.Score = gap
 	if est.FLWORDepth > 1 {
 		est.Score += est.FLWORDepth - 1
 	}
@@ -108,21 +134,8 @@ func EstimateComplexity(q *benchmark.Query, challenge *xsd.Schema) (ComplexityEs
 	if level > 3 {
 		level = 3
 	}
-	est.Level = benchmark.ComplexityLevel(level)
+	est.Level = ComplexityLevel(level)
 	return est, nil
-}
-
-// countExternalCalls counts calls to functions outside the XQuery subset's
-// builtins — the textual footprint of the paper's external functions.
-func countExternalCalls(e xquery.Expr) int {
-	n := 0
-	xquery.Walk(e, func(x xquery.Expr) bool {
-		if c, ok := x.(*xquery.Call); ok && !xquery.IsBuiltin(c.Name) {
-			n++
-		}
-		return true
-	})
-	return n
 }
 
 // flworDepth computes the maximum FLWOR nesting depth.
@@ -234,13 +247,13 @@ func docRoot(p *xquery.PathExpr) (*xquery.Call, bool) {
 }
 
 // ComplexityWaiver documents an accepted divergence between the estimator
-// and the hand-assigned table for one query.
+// and the reference mediator's charge for one query.
 type ComplexityWaiver struct {
 	// Estimated is the level the estimator is expected to produce; a waiver
 	// only applies while the estimate still matches it.
-	Estimated benchmark.ComplexityLevel
-	// Reason explains, for a human, why the hand-assigned level is right
-	// and the estimate is off.
+	Estimated ComplexityLevel
+	// Reason explains, for a human, why the charged level is right and the
+	// estimate is off.
 	Reason string
 }
 
@@ -248,23 +261,39 @@ type ComplexityWaiver struct {
 // is known to diverge from the reference mediator's accounting.
 var DefaultComplexityWaivers = map[int]ComplexityWaiver{
 	1: {
-		Estimated: benchmark.ComplexityLow,
+		Estimated: ComplexityLow,
 		Reason: "query 1's Instructor→Lecturer gap is a pure synonym: the mediator " +
 			"resolves it by declarative renaming with no external function, so the " +
-			"hand-assigned level is none although the estimator counts one missing field name",
+			"charged level is none although the estimator counts one missing field name",
 	},
 	3: {
-		Estimated: benchmark.ComplexityLow,
+		Estimated: ComplexityLow,
 		Reason: "query 3's union-type heterogeneity hides inside brown's mixed Title " +
 			"content (string vs. embedded hyperlink), which the vocabulary diff cannot " +
 			"see; decomposing it takes a medium-complexity external function",
 	},
 }
 
-// CheckComplexity diffs the hand-assigned complexity table against the
-// automatic estimates and reports unexplained divergence, unknown or stale
-// waivers, and estimator failures. schemaFor defaults to the testbed's
-// catalogs; waivers defaults to DefaultComplexityWaivers.
+// chargedLevel is the level the reference mediator charges for a query:
+// the complexity of the hardest external function in its answer.
+func chargedLevel(med *ufmw.Mediator, q *benchmark.Query) (ComplexityLevel, error) {
+	ans, err := med.Answer(q.Request())
+	if err != nil {
+		return 0, err
+	}
+	level := ComplexityNone
+	for _, f := range ans.Functions {
+		if l := ComplexityLevel(f.Complexity); l > level {
+			level = l
+		}
+	}
+	return level, nil
+}
+
+// CheckComplexity diffs the reference mediator's charged levels against
+// the automatic estimates and reports unexplained divergence, unknown or
+// stale waivers, and estimator failures. schemaFor defaults to the
+// testbed's catalogs; waivers defaults to DefaultComplexityWaivers.
 func CheckComplexity(queries []*benchmark.Query, schemaFor func(string) (*xsd.Schema, error), waivers map[int]ComplexityWaiver) []Finding {
 	if schemaFor == nil {
 		schemaFor = CatalogSchemaFor
@@ -272,7 +301,7 @@ func CheckComplexity(queries []*benchmark.Query, schemaFor func(string) (*xsd.Sc
 	if waivers == nil {
 		waivers = DefaultComplexityWaivers
 	}
-	hand := benchmark.HandAssignedComplexity()
+	med := ufmw.New()
 	var out []Finding
 	for _, q := range queries {
 		challenge, err := schemaFor(q.ChallengeSource)
@@ -286,29 +315,29 @@ func CheckComplexity(queries []*benchmark.Query, schemaFor func(string) (*xsd.Sc
 			out = append(out, Finding{Check: "complexity", QueryID: q.ID, Message: err.Error()})
 			continue
 		}
-		assigned, ok := hand[q.ID]
-		if !ok {
+		charged, err := chargedLevel(med, q)
+		if err != nil {
 			out = append(out, Finding{Check: "complexity", QueryID: q.ID,
-				Message: "no hand-assigned complexity level"})
+				Message: fmt.Sprintf("reference mediator cannot answer: %v", err)})
 			continue
 		}
 		w, waived := waivers[q.ID]
 		switch {
-		case est.Level == assigned && !waived:
+		case est.Level == charged && !waived:
 			// Agreement, nothing to report.
-		case est.Level == assigned && waived:
+		case est.Level == charged && waived:
 			out = append(out, Finding{Check: "complexity", QueryID: q.ID,
-				Message: fmt.Sprintf("stale waiver: estimate now agrees with hand-assigned level %s — delete the waiver", assigned)})
+				Message: fmt.Sprintf("stale waiver: estimate now agrees with the reference mediator's level %s — delete the waiver", charged)})
 		case waived && est.Level == w.Estimated:
 			// Documented divergence, still accurate.
 		case waived:
 			out = append(out, Finding{Check: "complexity", QueryID: q.ID,
-				Message: fmt.Sprintf("waiver out of date: waiver expects estimate %s but estimator now says %s (hand-assigned %s; %s)",
-					w.Estimated, est.Level, assigned, est.Explain())})
+				Message: fmt.Sprintf("waiver out of date: waiver expects estimate %s but estimator now says %s (reference mediator charges %s; %s)",
+					w.Estimated, est.Level, charged, est.Explain())})
 		default:
 			out = append(out, Finding{Check: "complexity", QueryID: q.ID,
-				Message: fmt.Sprintf("complexity divergence: estimated %s but hand-assigned %s (%s) — fix the table or add a documented waiver",
-					est.Level, assigned, est.Explain())})
+				Message: fmt.Sprintf("complexity divergence: estimated %s but the reference mediator charges %s (%s) — fix the charge or add a documented waiver",
+					est.Level, charged, est.Explain())})
 		}
 	}
 	return out

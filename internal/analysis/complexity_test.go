@@ -11,8 +11,8 @@ import (
 
 // TestComplexityCrossCheckClean is the acceptance gate for the complexity
 // cross-check: with the default waivers, every estimate either matches the
-// hand-assigned table or carries a documented waiver, so the check reports
-// nothing on the real repository.
+// reference mediator's charged level or carries a documented waiver, so the
+// check reports nothing on the real repository.
 func TestComplexityCrossCheckClean(t *testing.T) {
 	fs := CheckComplexity(benchmark.Queries(), nil, nil)
 	for _, f := range fs {
@@ -23,19 +23,19 @@ func TestComplexityCrossCheckClean(t *testing.T) {
 // TestComplexityEstimates pins the estimator's level for every benchmark
 // query, so recalibrations are deliberate.
 func TestComplexityEstimates(t *testing.T) {
-	want := map[int]benchmark.ComplexityLevel{
-		1:  benchmark.ComplexityLow, // waived: hand-assigned none
-		2:  benchmark.ComplexityLow,
-		3:  benchmark.ComplexityLow, // waived: hand-assigned medium
-		4:  benchmark.ComplexityHigh,
-		5:  benchmark.ComplexityHigh,
-		6:  benchmark.ComplexityMedium,
-		7:  benchmark.ComplexityMedium,
-		8:  benchmark.ComplexityHigh,
-		9:  benchmark.ComplexityMedium,
-		10: benchmark.ComplexityMedium,
-		11: benchmark.ComplexityMedium,
-		12: benchmark.ComplexityMedium,
+	want := map[int]ComplexityLevel{
+		1:  ComplexityLow, // waived: charged none
+		2:  ComplexityLow,
+		3:  ComplexityLow, // waived: charged medium
+		4:  ComplexityHigh,
+		5:  ComplexityHigh,
+		6:  ComplexityMedium,
+		7:  ComplexityMedium,
+		8:  ComplexityHigh,
+		9:  ComplexityMedium,
+		10: ComplexityMedium,
+		11: ComplexityMedium,
+		12: ComplexityMedium,
 	}
 	for _, q := range benchmark.Queries() {
 		sch, err := CatalogSchemaFor(q.ChallengeSource)
@@ -89,17 +89,29 @@ func TestComplexityDivergenceWithoutWaiver(t *testing.T) {
 }
 
 // TestComplexityStaleWaiver: a waiver on a query whose estimate agrees with
-// the table must itself be reported, so waivers cannot quietly outlive
+// the charged level must itself be reported, so waivers cannot quietly outlive
 // their reason.
 func TestComplexityStaleWaiver(t *testing.T) {
 	waivers := map[int]ComplexityWaiver{
 		1: DefaultComplexityWaivers[1],
 		3: DefaultComplexityWaivers[3],
-		2: {Estimated: benchmark.ComplexityHigh, Reason: "obsolete"},
+		2: {Estimated: ComplexityHigh, Reason: "obsolete"},
 	}
 	fs := CheckComplexity(benchmark.Queries(), nil, waivers)
 	if len(fs) != 1 || fs[0].QueryID != 2 || !strings.Contains(fs[0].Message, "stale waiver") {
 		t.Fatalf("findings = %v, want one stale-waiver finding for query 2", fs)
+	}
+}
+
+func TestComplexityLevelString(t *testing.T) {
+	for level, want := range map[ComplexityLevel]string{
+		ComplexityNone: "none", ComplexityLow: "low",
+		ComplexityMedium: "medium", ComplexityHigh: "high",
+		ComplexityLevel(9): "unknown",
+	} {
+		if got := level.String(); got != want {
+			t.Errorf("String(%d) = %q, want %q", int(level), got, want)
+		}
 	}
 }
 

@@ -25,10 +25,6 @@ type QueryCheckConfig struct {
 	// SchemaFor resolves a doc() URI (e.g. "brown.xml" or "brown") to the
 	// schema of the document it denotes. Nil means the testbed's catalogs.
 	SchemaFor func(uri string) (*xsd.Schema, error)
-	// IsExternal reports whether a non-builtin function name is a declared
-	// external integration function (the paper's escape hatch). Nil means no
-	// external functions are allowed in query text.
-	IsExternal func(name string) bool
 	// Locator maps findings back to file:line positions in the Go source
 	// that embeds the query text. Nil leaves findings without positions.
 	Locator *Locator
@@ -319,13 +315,11 @@ func (c *queryChecker) evalCall(n *xquery.Call, env map[string]sval) sval {
 	}
 	lower := strings.ToLower(n.Name)
 	if !xquery.IsBuiltin(lower) {
-		if c.cfg.IsExternal == nil || !c.cfg.IsExternal(n.Name) {
-			msg := fmt.Sprintf("unknown function %s()", n.Name)
-			if hint := suggest(lower, xquery.BuiltinNames()); hint != "" {
-				msg += fmt.Sprintf(" (did you mean %q?)", hint)
-			}
-			c.addf("unknown-func", n.Name, "%s", msg)
+		msg := fmt.Sprintf("unknown function %s()", n.Name)
+		if hint := suggest(lower, xquery.BuiltinNames()); hint != "" {
+			msg += fmt.Sprintf(" (did you mean %q?)", hint)
 		}
+		c.addf("unknown-func", n.Name, "%s", msg)
 		return unknown()
 	}
 	switch lower {

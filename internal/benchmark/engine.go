@@ -244,10 +244,9 @@ func (r *Runner) evalCell(ctx context.Context, sys integration.System, q *Query,
 	return res
 }
 
-// evalCellRec is evalCell's core. A non-nil rec wraps the evaluation in a
-// root eval span, threads the recorder to the system through the request
-// context, and measures the Answer latency into EvalNanos; a nil rec takes
-// the original zero-overhead path.
+// evalCellRec is evalCell's core. A non-nil rec wraps the Answer call in a
+// root eval span and threads the recorder to the system through the request
+// context; a nil rec takes the original zero-overhead path.
 func (r *Runner) evalCellRec(ctx context.Context, sys integration.System, q *Query, rec *explain.Recorder, br *faultline.Breaker) QueryResult {
 	res := QueryResult{QueryID: q.ID}
 	if err := ctx.Err(); err != nil {
@@ -261,13 +260,11 @@ func (r *Runner) evalCellRec(ctx context.Context, sys integration.System, q *Que
 	}
 	req := q.Request()
 	var root *explain.Span
-	var start time.Time
 	if rec != nil {
 		root = rec.Begin(explain.KindEval,
 			fmt.Sprintf("q%02d %s", q.ID, sys.Name()),
 			explain.A("hetero", q.Case.Name()))
 		req = req.WithContext(explain.NewContext(ctx, rec))
-		start = time.Now()
 	}
 	var ans *integration.Answer
 	if r.Resilience != nil {
@@ -285,10 +282,7 @@ func (r *Runner) evalCellRec(ctx context.Context, sys integration.System, q *Que
 	} else {
 		ans, err = r.answer(ctx, sys, req)
 	}
-	if rec != nil {
-		res.EvalNanos = time.Since(start).Nanoseconds()
-		root.End()
-	}
+	root.End()
 	switch {
 	case errors.Is(err, integration.ErrUnsupported):
 		// Declined: no point, no complexity charge.

@@ -63,17 +63,17 @@ func checkCellTrace(t *testing.T, system string, res QueryResult) int {
 		t.Errorf("%s q%d failed without a trace", system, res.QueryID)
 		return 1
 	}
-	leaf := res.Explain.LeafNanos()
+	leaf, eval := res.Explain.LeafNanos(), res.Explain.Root.DurationNS
 	// 10% relative tolerance, 2ms absolute floor: declined cells answer in
-	// microseconds, where a single descheduling between the span's clock
-	// reads and the engine's dwarfs the relative bound.
-	tol := res.EvalNanos / 10
+	// microseconds, where a single descheduling between the leaf spans'
+	// clock reads and the root span's dwarfs the relative bound.
+	tol := eval / 10
 	if floor := int64(2 * time.Millisecond); tol < floor {
 		tol = floor
 	}
-	if diff := leaf - res.EvalNanos; diff < -tol || diff > tol {
+	if diff := leaf - eval; diff < -tol || diff > tol {
 		t.Errorf("%s q%d: leaf spans sum to %v, eval took %v (tolerance %v)",
-			system, res.QueryID, time.Duration(leaf), time.Duration(res.EvalNanos), time.Duration(tol))
+			system, res.QueryID, time.Duration(leaf), time.Duration(eval), time.Duration(tol))
 	}
 	return 1
 }

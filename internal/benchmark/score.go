@@ -30,10 +30,9 @@ type QueryResult struct {
 	Err string
 	// Explain is the cell's explain trace, populated only when the runner's
 	// ExplainFailures mode is on and the cell failed (or by Runner.Explain).
-	// EvalNanos is the measured Answer latency for the same recording; both
-	// stay out of Format so scorecards are unchanged by recording.
-	Explain   *explain.Trace
-	EvalNanos int64
+	// Its root eval span times the Answer call. It stays out of Format so
+	// scorecards are unchanged by recording.
+	Explain *explain.Trace
 	// Degraded marks a cell that exhausted its resilience-policy retries
 	// (or hit a permanent fault); Attempts is its attempt history. Both
 	// are populated only when the runner has a Resilience policy, and both

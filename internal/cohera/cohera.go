@@ -264,7 +264,7 @@ func registerUDFs(db *minidb.DB) {
 		}
 	}
 	db.Register(&minidb.Func{
-		Name: "to24h_start", Complexity: 1,
+		Name: "to24h_start",
 		Fn: str1(func(s string) (string, error) {
 			start, _, err := mapping.ParseClockRange(s)
 			if err != nil {
@@ -274,29 +274,29 @@ func registerUDFs(db *minidb.DB) {
 		}),
 	})
 	db.Register(&minidb.Func{
-		Name: "range24", Complexity: 1,
-		Fn: str1(mapping.RangeTo24),
+		Name: "range24",
+		Fn:   str1(mapping.RangeTo24),
 	})
 	db.Register(&minidb.Func{
-		Name: "brown_title", Complexity: 2,
+		Name: "brown_title",
 		Fn: str1(func(s string) (string, error) {
 			return mapping.DecomposeBrownTitle(s).Title, nil
 		}),
 	})
 	db.Register(&minidb.Func{
-		Name: "brown_day", Complexity: 2,
+		Name: "brown_day",
 		Fn: str1(func(s string) (string, error) {
 			return mapping.CanonicalDays(mapping.DecomposeBrownTitle(s).Days), nil
 		}),
 	})
 	db.Register(&minidb.Func{
-		Name: "brown_time", Complexity: 2,
+		Name: "brown_time",
 		Fn: str1(func(s string) (string, error) {
 			return mapping.RangeTo24(mapping.DecomposeBrownTitle(s).Time)
 		}),
 	})
 	db.Register(&minidb.Func{
-		Name: "infer_entry", Complexity: 2,
+		Name: "infer_entry",
 		Fn: str1(func(s string) (string, error) {
 			if mapping.InferEntryLevel("", s) {
 				return "None", nil
@@ -305,7 +305,7 @@ func registerUDFs(db *minidb.DB) {
 		}),
 	})
 	db.Register(&minidb.Func{
-		Name: "is_instructor", Complexity: 2,
+		Name: "is_instructor",
 		Fn: func(args []minidb.Value) (minidb.Value, error) {
 			if len(args) != 1 {
 				return minidb.Null, fmt.Errorf("cohera: is_instructor expects 1 argument")

@@ -377,47 +377,6 @@ func TestNullKinds(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	cases := []struct {
-		fn, in, want string
-	}{
-		{"to24h", "1:30pm", "13:30"},
-		{"range_to_24h", "1:30 - 2:50", "13:30-14:50"},
-		{"umfang_to_units", "2V1U", "12"},
-		{"translate_de_en", "Datenbank", "database"},
-		{"null_marker", "  ", ""},
-		{"infer_prereq", "First course in sequence", "None"},
-		{"dual_null", "anything", "(not applicable)"},
-		{"umd_time_room", "MWF 10:00am KEY0106", "KEY0106"},
-		{"umd_section_teacher", "0101(13795) Singh, H.", "Singh, H."},
-		{"decompose_brown_title", "Computer NetworksM hr. M 3-5:30", "Computer Networks"},
-	}
-	for _, c := range cases {
-		tr, err := r.Get(c.fn)
-		if err != nil {
-			t.Fatalf("Get(%s): %v", c.fn, err)
-		}
-		if tr.Complexity < 1 || tr.Complexity > 3 {
-			t.Errorf("%s: complexity %d out of range", c.fn, tr.Complexity)
-		}
-		got, err := tr.Fn(c.in)
-		if err != nil {
-			t.Errorf("%s(%q): %v", c.fn, c.in, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("%s(%q) = %q, want %q", c.fn, c.in, got, c.want)
-		}
-	}
-	if _, err := r.Get("nope"); err == nil {
-		t.Error("expected error for unknown transform")
-	}
-	if len(r.Names()) < 10 {
-		t.Errorf("registry too small: %v", r.Names())
-	}
-}
-
 // Property: ParseUMDSection round-trips the components it parsed.
 func TestQuickUMDSectionParse(t *testing.T) {
 	f := func(num, id uint16, hasSeats bool) bool {

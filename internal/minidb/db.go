@@ -33,12 +33,10 @@ func (t *Table) Insert(vals ...Value) error {
 }
 
 // Func is a user-defined function — the minidb counterpart of Cohera's
-// C-language UDFs. Complexity is the THALIA scoring weight the function's
-// author declares (1 low, 2 medium, 3 high).
+// C-language UDFs.
 type Func struct {
-	Name       string
-	Complexity int
-	Fn         func(args []Value) (Value, error)
+	Name string
+	Fn   func(args []Value) (Value, error)
 }
 
 // DB is a database: tables, views, and registered functions.
@@ -47,13 +45,6 @@ type DB struct {
 	tables map[string]*Table
 	views  map[string]*SelectStmt
 	funcs  map[string]*Func
-	// stmts is the prepared-statement cache: SELECT text parsed once per
-	// database. Parsed statements are immutable during execution, so one
-	// statement may serve concurrent queries. Parse errors are never cached.
-	stmts map[string]*SelectStmt
-	// Called tallies UDF invocations by name, feeding THALIA's
-	// integration-effort accounting.
-	Called map[string]int
 }
 
 // NewDB returns an empty database.
@@ -62,8 +53,6 @@ func NewDB() *DB {
 		tables: map[string]*Table{},
 		views:  map[string]*SelectStmt{},
 		funcs:  map[string]*Func{},
-		stmts:  map[string]*SelectStmt{},
-		Called: map[string]int{},
 	}
 }
 
@@ -106,17 +95,6 @@ func (db *DB) Register(f *Func) {
 	db.funcs[strings.ToLower(f.Name)] = f
 }
 
-// Functions returns the registered UDFs keyed by lower-case name.
-func (db *DB) Functions() map[string]*Func {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make(map[string]*Func, len(db.funcs))
-	for k, v := range db.funcs {
-		out[k] = v
-	}
-	return out
-}
-
 // maxViewDepth bounds view-over-view nesting, so a cyclic view definition
 // (a view referencing itself, directly or indirectly) fails with a clear
 // error instead of recursing forever.
@@ -152,29 +130,11 @@ type Result struct {
 	Rows    [][]Value
 }
 
-// Query executes a SELECT statement, parsing it through the prepared-
-// statement cache: each distinct SQL text is parsed once per database, so
-// the repeated identical queries a benchmark run issues skip the parser.
+// Query parses and executes a SELECT statement.
 func (db *DB) Query(sql string) (*Result, error) {
-	db.mu.RLock()
-	stmt := db.stmts[sql]
-	db.mu.RUnlock()
-	if stmt == nil {
-		var err error
-		stmt, err = ParseSelect(sql)
-		if err != nil {
-			return nil, err
-		}
-		db.mu.Lock()
-		db.stmts[sql] = stmt
-		db.mu.Unlock()
+	stmt, err := ParseSelect(sql)
+	if err != nil {
+		return nil, err
 	}
 	return db.execSelect(stmt, 0)
-}
-
-// StmtCacheLen reports how many distinct SELECT texts have been prepared.
-func (db *DB) StmtCacheLen() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.stmts)
 }

@@ -438,8 +438,5 @@ func (db *DB) call(name string, args []Value) (Value, error) {
 	if !ok {
 		return Null, fmt.Errorf("minidb: unknown function %q", name)
 	}
-	db.mu.Lock()
-	db.Called[f.Name]++
-	db.mu.Unlock()
 	return f.Fn(args)
 }

@@ -243,30 +243,3 @@ func TestSetEqIndexDisabled(t *testing.T) {
 		t.Fatal("SetEqIndexDisabled(true) did not stick")
 	}
 }
-
-// TestStmtCachePreparesOnce pins the prepared-statement cache: repeated
-// identical SQL parses once, distinct SQL adds entries, and parse errors are
-// never cached.
-func TestStmtCachePreparesOnce(t *testing.T) {
-	db := mixedDB(t)
-	for i := 0; i < 3; i++ {
-		if _, err := db.Query(`SELECT * FROM items WHERE code = 'a1'`); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := db.StmtCacheLen(); n != 1 {
-		t.Fatalf("StmtCacheLen() = %d after repeated identical queries, want 1", n)
-	}
-	if _, err := db.Query(`SELECT label FROM items`); err != nil {
-		t.Fatal(err)
-	}
-	if n := db.StmtCacheLen(); n != 2 {
-		t.Fatalf("StmtCacheLen() = %d after a second distinct query, want 2", n)
-	}
-	if _, err := db.Query(`SELECT FROM WHERE`); err == nil {
-		t.Fatal("malformed SQL did not error")
-	}
-	if n := db.StmtCacheLen(); n != 2 {
-		t.Fatalf("StmtCacheLen() = %d after a parse error, want 2 (errors never cached)", n)
-	}
-}

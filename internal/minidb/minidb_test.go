@@ -166,8 +166,7 @@ func TestViews(t *testing.T) {
 func TestUDF(t *testing.T) {
 	db := testDB(t)
 	db.Register(&Func{
-		Name:       "to24h",
-		Complexity: 1,
+		Name: "to24h",
 		Fn: func(args []Value) (Value, error) {
 			if args[0].IsNull() {
 				return Null, nil
@@ -184,12 +183,6 @@ func TestUDF(t *testing.T) {
 	}
 	if res.Rows[0][0].String() != "13:30" {
 		t.Errorf("udf: %v", res.Rows)
-	}
-	if db.Called["to24h"] != 1 {
-		t.Errorf("Called = %v", db.Called)
-	}
-	if len(db.Functions()) != 1 {
-		t.Error("Functions() wrong")
 	}
 }
 
@@ -450,7 +443,7 @@ func TestBooleanLiteralsAndComparison(t *testing.T) {
 
 func TestUDFErrorPropagates(t *testing.T) {
 	db := testDB(t)
-	db.Register(&Func{Name: "boom", Complexity: 1, Fn: func(args []Value) (Value, error) {
+	db.Register(&Func{Name: "boom", Fn: func(args []Value) (Value, error) {
 		return Null, strings.NewReader("").UnreadRune()
 	}})
 	if _, err := db.Query("SELECT boom(1) FROM courses"); err == nil {

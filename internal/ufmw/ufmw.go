@@ -1,9 +1,10 @@
 // Package ufmw implements the reproduction's "full mediator" — the kind of
 // system the paper hopes THALIA will induce the community to build. It
 // resolves all twelve heterogeneities by combining the mapping library's
-// transformation catalog with XML navigation over the extracted testbed
-// documents. It scores 12/12, at the price of the highest complexity score:
-// the paper's ranking deliberately charges for every external function.
+// kernels with XML navigation over the extracted testbed documents, and
+// charges each answer from its own transformation catalog. It scores 12/12,
+// at the price of the highest complexity score: the paper's ranking
+// deliberately charges for every external function.
 package ufmw
 
 import (
@@ -19,17 +20,35 @@ import (
 )
 
 // Mediator is the full-mediation integration system. It is safe for
-// concurrent use: the lexicon and transform registry are immutable after
-// New, every per-query evaluation keeps its state on the stack, and the
-// shared testbed documents are only read.
+// concurrent use: the lexicon is immutable, every per-query evaluation keeps
+// its state on the stack, and the shared testbed documents are only read.
 type Mediator struct {
 	lex *mapping.Lexicon
-	reg *mapping.Registry
 }
 
 // New returns a mediator over the built-in testbed.
 func New() *Mediator {
-	return &Mediator{lex: mapping.NewGermanLexicon(), reg: mapping.NewRegistry()}
+	return &Mediator{lex: mapping.NewGermanLexicon()}
+}
+
+// charges is the mediator's transformation catalog: each external function
+// it needs, with its complexity under the paper's scoring function (1 low,
+// 2 medium, 3 high). Every answer's FunctionUse list is read from it, and
+// thalia-vet takes a query's complexity level from the hardest entry the
+// answer charges.
+var charges = map[string]int{
+	"range_to_24h":               1, // case 2: meeting-time range to 24-hour form
+	"flatten_union":              2, // case 3: string-plus-link union to its visible text
+	"umfang_to_units":            3, // case 4: ETH Umfang notation to CMU-style units
+	"translate_de_en":            3, // case 5: German term or value word to English
+	"null_marker":                2, // case 6: missing data rendered explicitly
+	"infer_prereq":               2, // case 7: entry-level status from a free-text comment
+	"dual_null":                  3, // case 8: missing vs. inapplicable data
+	"umd_time_room":              1, // case 9: room from Maryland's composite Time value
+	"umd_section_teacher":        2, // case 10: instructor from a Maryland section title
+	"split_instructors":          1, // case 10: one row per co-listed instructor
+	"term_columns_to_instructor": 2, // case 11: per-term columns to one instructor
+	"decompose_brown_title":      2, // case 12: title part of Brown's Title/Time column
 }
 
 // Name implements integration.System.
@@ -53,15 +72,15 @@ func courses(source string) ([]*xmldom.Element, error) {
 	return doc.Root.ChildElements(), nil
 }
 
-// use builds the FunctionUse list from registry names.
-func (m *Mediator) use(names ...string) ([]integration.FunctionUse, error) {
-	var out []integration.FunctionUse
-	for _, n := range names {
-		t, err := m.reg.Get(n)
-		if err != nil {
-			return nil, err
+// use builds the FunctionUse list for the named catalog entries.
+func use(names ...string) ([]integration.FunctionUse, error) {
+	out := make([]integration.FunctionUse, len(names))
+	for i, n := range names {
+		c, ok := charges[n]
+		if !ok {
+			return nil, fmt.Errorf("ufmw: no transform %q", n)
 		}
-		out = append(out, integration.FunctionUse{Name: t.Name, Complexity: t.Complexity})
+		out[i] = integration.FunctionUse{Name: n, Complexity: c}
 	}
 	return out, nil
 }
@@ -176,7 +195,7 @@ func (m *Mediator) q1() (*integration.Answer, error) {
 }
 
 func (m *Mediator) q2() (*integration.Answer, error) {
-	fns, err := m.use("range_to_24h")
+	fns, err := use("range_to_24h")
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +236,7 @@ func (m *Mediator) q2() (*integration.Answer, error) {
 }
 
 func (m *Mediator) q3() (*integration.Answer, error) {
-	fns, err := m.use("flatten_union", "decompose_brown_title")
+	fns, err := use("flatten_union", "decompose_brown_title")
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +269,7 @@ func (m *Mediator) q3() (*integration.Answer, error) {
 }
 
 func (m *Mediator) q4() (*integration.Answer, error) {
-	fns, err := m.use("umfang_to_units", "translate_de_en")
+	fns, err := use("umfang_to_units", "translate_de_en")
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +310,7 @@ func (m *Mediator) q4() (*integration.Answer, error) {
 }
 
 func (m *Mediator) q5() (*integration.Answer, error) {
-	fns, err := m.use("translate_de_en")
+	fns, err := use("translate_de_en")
 	if err != nil {
 		return nil, err
 	}
@@ -324,7 +343,7 @@ func (m *Mediator) q5() (*integration.Answer, error) {
 }
 
 func (m *Mediator) q6() (*integration.Answer, error) {
-	fns, err := m.use("null_marker")
+	fns, err := use("null_marker")
 	if err != nil {
 		return nil, err
 	}
@@ -365,7 +384,7 @@ func (m *Mediator) q6() (*integration.Answer, error) {
 }
 
 func (m *Mediator) q7() (*integration.Answer, error) {
-	fns, err := m.use("infer_prereq")
+	fns, err := use("infer_prereq")
 	if err != nil {
 		return nil, err
 	}
@@ -399,7 +418,7 @@ func (m *Mediator) q7() (*integration.Answer, error) {
 }
 
 func (m *Mediator) q8() (*integration.Answer, error) {
-	fns, err := m.use("dual_null", "translate_de_en")
+	fns, err := use("dual_null", "translate_de_en")
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +454,7 @@ func (m *Mediator) q8() (*integration.Answer, error) {
 }
 
 func (m *Mediator) q9() (*integration.Answer, error) {
-	fns, err := m.use("umd_time_room", "decompose_brown_title")
+	fns, err := use("umd_time_room", "decompose_brown_title")
 	if err != nil {
 		return nil, err
 	}
@@ -474,11 +493,10 @@ func (m *Mediator) q9() (*integration.Answer, error) {
 }
 
 func (m *Mediator) q10() (*integration.Answer, error) {
-	fns, err := m.use("umd_section_teacher")
+	fns, err := use("umd_section_teacher", "split_instructors")
 	if err != nil {
 		return nil, err
 	}
-	fns = append(fns, integration.FunctionUse{Name: "split_instructors", Complexity: 1})
 	var rows []integration.Row
 	cs, err := courses("cmu")
 	if err != nil {
@@ -516,7 +534,10 @@ func (m *Mediator) q10() (*integration.Answer, error) {
 }
 
 func (m *Mediator) q11() (*integration.Answer, error) {
-	fns := []integration.FunctionUse{{Name: "term_columns_to_instructor", Complexity: 2}}
+	fns, err := use("term_columns_to_instructor")
+	if err != nil {
+		return nil, err
+	}
 	var rows []integration.Row
 	cs, err := courses("cmu")
 	if err != nil {
@@ -555,7 +576,7 @@ func (m *Mediator) q11() (*integration.Answer, error) {
 }
 
 func (m *Mediator) q12() (*integration.Answer, error) {
-	fns, err := m.use("decompose_brown_title", "range_to_24h")
+	fns, err := use("decompose_brown_title", "range_to_24h")
 	if err != nil {
 		return nil, err
 	}

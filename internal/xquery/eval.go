@@ -29,17 +29,6 @@ type Sequence []Item
 // testbed, so that doc("cmu.xml") yields the extracted CMU catalog.
 type DocResolver func(uri string) (*xmldom.Document, error)
 
-// ExternalFunc is a user-defined function made available to queries. The
-// benchmark's scoring function charges an integration system for every
-// external function it needs, at a declared complexity of low (1), medium
-// (2), or high (3); Complexity records that declaration.
-type ExternalFunc struct {
-	Name string
-	// Complexity is the scoring weight: 1 low, 2 medium, 3 high.
-	Complexity int
-	Fn         func(args []Sequence) (Sequence, error)
-}
-
 // Context supplies everything a query evaluation needs beyond the query.
 type Context struct {
 	// Resolve implements the doc() function; nil makes doc() an error.
@@ -57,11 +46,7 @@ type Context struct {
 	// same name therefore shadow deterministically (latest wins) — the same
 	// slot discipline the compiled-plan engine uses for its lexical scopes,
 	// so both engines resolve shadowed bindings identically.
-	vars     []slotBinding
-	external map[string]*ExternalFunc
-	// Called tallies external-function invocations by name, feeding the
-	// benchmark's integration-effort accounting.
-	Called map[string]int
+	vars []slotBinding
 }
 
 // slotBinding is one ordered global binding slot.
@@ -72,11 +57,7 @@ type slotBinding struct {
 
 // NewContext returns a context resolving documents through resolve.
 func NewContext(resolve DocResolver) *Context {
-	return &Context{
-		Resolve:  resolve,
-		external: make(map[string]*ExternalFunc),
-		Called:   make(map[string]int),
-	}
+	return &Context{Resolve: resolve}
 }
 
 // Bind sets a global variable visible to the query. Binding an already-bound
@@ -95,12 +76,6 @@ func (c *Context) Var(name string) (Sequence, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Register makes an external function callable from queries. Names are
-// case-insensitive like builtins.
-func (c *Context) Register(f *ExternalFunc) {
-	c.external[strings.ToLower(f.Name)] = f
 }
 
 // DynamicError is a runtime evaluation failure.

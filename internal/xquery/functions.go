@@ -1,16 +1,13 @@
 package xquery
 
 import (
-	"strconv"
 	"strings"
 
 	"thalia/internal/explain"
 	"thalia/internal/xmldom"
 )
 
-// evalCall dispatches builtin functions, then context-registered external
-// functions. External calls are tallied in ctx.Called so the benchmark can
-// account for the integration effort they represent.
+// evalCall dispatches a builtin function call; any other name is an error.
 func (ev *evaluator) evalCall(c *Call, en *env) (Sequence, error) {
 	var sp *explain.Span
 	if ev.rec != nil {
@@ -39,7 +36,7 @@ func (ev *evaluator) dispatchCall(c *Call, en *env) (Sequence, error) {
 	if fn, ok := builtins[c.Name]; ok {
 		return fn.Invoke(c.Name, ev.ctx, ev.rec, args)
 	}
-	return CallExternal(ev.ctx, ev.rec, c.Name, args)
+	return nil, dynErrf("unknown function %s()", c.Name)
 }
 
 // BuiltinFunc is the invocable form of a builtin: pure over its evaluated
@@ -71,22 +68,6 @@ func (b Builtin) Invoke(name string, ctx *Context, rec *explain.Recorder, args [
 func LookupBuiltin(name string) (Builtin, bool) {
 	b, ok := builtins[name]
 	return b, ok
-}
-
-// CallExternal invokes a context-registered external function with
-// already-evaluated arguments, tallying the call for integration-effort
-// accounting and recording the transform event; an unregistered name is the
-// interpreter's "unknown function" error. Shared by both engines.
-func CallExternal(ctx *Context, rec *explain.Recorder, name string, args []Sequence) (Sequence, error) {
-	if ext, ok := ctx.external[name]; ok {
-		ctx.Called[ext.Name]++
-		if rec != nil {
-			rec.Event(explain.KindTransform, ext.Name,
-				explain.A("complexity", strconv.Itoa(ext.Complexity)))
-		}
-		return ext.Fn(args)
-	}
-	return nil, dynErrf("unknown function %s()", name)
 }
 
 func arg0String(args []Sequence) string {

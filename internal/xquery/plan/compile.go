@@ -677,7 +677,7 @@ func (c *compiler) compileCall(n *xquery.Call) (compiled, error) {
 	if isBuiltin {
 		c.emit("call %s() builtin", name)
 	} else {
-		c.emit("call %s() external", name)
+		c.emit("call %s() unknown", name)
 	}
 	c.depth++
 	args := make([]compiled, len(n.Args))
@@ -712,12 +712,13 @@ func (c *compiler) compileCall(n *xquery.Call) (compiled, error) {
 			return b.Invoke(name, rt.ctx, rt.rec, vals)
 		}, nil
 	}
+	// Not a builtin: evaluate the arguments, so their errors surface first,
+	// then fail exactly as the interpreter does.
 	return func(rt *runtime) (xquery.Sequence, error) {
-		vals, err := evalArgs(rt)
-		if err != nil {
+		if _, err := evalArgs(rt); err != nil {
 			return nil, err
 		}
-		return xquery.CallExternal(rt.ctx, rt.rec, name, vals)
+		return nil, xquery.DynErrorf("unknown function %s()", name)
 	}, nil
 }
 

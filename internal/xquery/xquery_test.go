@@ -1,6 +1,7 @@
 package xquery
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -321,30 +322,22 @@ func TestNameFunctions(t *testing.T) {
 	}
 }
 
+// TestExternalFunctions pins that the subset has no external functions: a
+// call to any other name evaluates its arguments first, so their errors
+// surface first, then fails as an unknown function.
 func TestExternalFunctions(t *testing.T) {
 	ctx := testContext(t)
-	ctx.Register(&ExternalFunc{
-		Name:       "to24h",
-		Complexity: 1,
-		Fn: func(args []Sequence) (Sequence, error) {
-			s := ItemString(args[0][0])
-			if strings.HasPrefix(s, "1:") {
-				return Sequence{"13" + s[1:]}, nil
-			}
-			return Sequence{s}, nil
-		},
-	})
-	seq, err := EvalQuery(`FOR $b in doc("cmu.xml")/cmu/Course
-		WHERE starts-with(to24h(substring-before($b/Time, " - ")), "13:")
-		RETURN $b/CourseNumber`, ctx)
-	if err != nil {
-		t.Fatal(err)
+	cases := map[string]string{
+		`to24h(substring-before(doc("cmu.xml")/cmu/Course[1]/Time, " - "))`: "xquery: unknown function to24h()",
+		`to24h(1 div 0)`:    "xquery: division by zero",
+		`to24h($undefined)`: "xquery: unbound variable $undefined",
 	}
-	if len(seq) != 1 || ItemString(seq[0]) != "15-415" {
-		t.Errorf("external fn query: %v", seq)
-	}
-	if ctx.Called["to24h"] != 3 {
-		t.Errorf("Called[to24h] = %d, want 3", ctx.Called["to24h"])
+	for q, want := range cases {
+		_, err := EvalQuery(q, ctx)
+		var de *DynamicError
+		if !errors.As(err, &de) || err.Error() != want {
+			t.Errorf("EvalQuery(%q) = %v, want DynamicError %q", q, err, want)
+		}
 	}
 }
 
