@@ -103,6 +103,20 @@ func TestComplexityStaleWaiver(t *testing.T) {
 	}
 }
 
+// TestComplexityWaiverPinsCharge: a waiver whose charged level no longer
+// matches the reference mediator's is out of date even while the estimate
+// still matches, so a changed charge cannot hide behind an old waiver.
+func TestComplexityWaiverPinsCharge(t *testing.T) {
+	w := DefaultComplexityWaivers[3]
+	w.Charged = ComplexityHigh
+	waivers := map[int]ComplexityWaiver{1: DefaultComplexityWaivers[1], 3: w}
+	fs := CheckComplexity(benchmark.Queries(), nil, waivers)
+	if len(fs) != 1 || fs[0].QueryID != 3 || !strings.Contains(fs[0].Message, "waiver out of date") ||
+		!strings.Contains(fs[0].Message, "charge high") {
+		t.Fatalf("findings = %v, want one out-of-date waiver finding for query 3 naming charge high", fs)
+	}
+}
+
 func TestComplexityLevelString(t *testing.T) {
 	for level, want := range map[ComplexityLevel]string{
 		ComplexityNone: "none", ComplexityLow: "low",

@@ -247,7 +247,7 @@ func TestExplainKindsDetectsDeadVocabulary(t *testing.T) {
 		t.Fatal(err)
 	}
 	findings := explainKinds.analyzer().Run(pkgs)
-	const wantKinds = 20
+	const wantKinds = 19
 	if len(findings) != wantKinds {
 		t.Errorf("got %d findings, want %d (one per Kind constant)", len(findings), wantKinds)
 	}

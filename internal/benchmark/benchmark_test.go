@@ -213,10 +213,6 @@ func TestHonorRoll(t *testing.T) {
 	if h.Entries[0].System != "Z" || h.Entries[1].System != "Y" || h.Entries[2].System != "X" {
 		t.Errorf("honor roll order: %+v", h.Entries)
 	}
-	out := h.Format()
-	if !strings.Contains(out, "Honor Roll") || !strings.Contains(out, "Z") {
-		t.Errorf("format: %s", out)
-	}
 }
 
 func TestScorecardFormat(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"thalia/internal/cohera"
 	"thalia/internal/integration"
 	"thalia/internal/iwiz"
-	"thalia/internal/minidb"
 	"thalia/internal/rewrite"
 	"thalia/internal/ufmw"
 )
@@ -107,31 +106,6 @@ func TestParallelMatchesSequentialByteIdentical(t *testing.T) {
 		}
 		if got := renderCards(cards); got != want {
 			t.Errorf("concurrency %d: ranked scorecards differ from sequential path\nsequential:\n%s\nparallel:\n%s", workers, want, got)
-		}
-	}
-}
-
-// The minidb value index must be invisible end to end: ranked scorecards
-// over the full testbed are byte-identical whether cohera's relational
-// scans go through the equality index (the default) or the full nested
-// loop, at every pool size. This is the across-all-catalogs companion to
-// minidb's per-query identity tests.
-func TestScorecardsIdenticalWithIndexDisabled(t *testing.T) {
-	indexed, err := NewSequentialRunner().EvaluateAll(allSystems()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderCards(indexed)
-	prev := minidb.SetEqIndexDisabled(true)
-	defer minidb.SetEqIndexDisabled(prev)
-	for _, workers := range []int{1, 2, 8} {
-		r := &Runner{Queries: Queries(), Concurrency: workers}
-		cards, err := r.EvaluateAll(allSystems()...)
-		if err != nil {
-			t.Fatalf("concurrency %d: %v", workers, err)
-		}
-		if got := renderCards(cards); got != want {
-			t.Errorf("concurrency %d: scorecards with the index disabled differ from the indexed path\nindexed:\n%s\nfull scan:\n%s", workers, want, got)
 		}
 	}
 }

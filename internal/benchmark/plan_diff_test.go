@@ -67,14 +67,15 @@ func retarget(q *Query, cat string) string {
 // catalogs are heterogeneous by design); the test asserts enough non-empty
 // cells that the equivalence claim is not vacuous.
 func TestPlanInterpreterEquivalenceAcrossCatalogs(t *testing.T) {
-	names := catalog.Names()
-	if len(names) < 25 {
-		t.Fatalf("only %d catalogs registered; the suite expects the full testbed", len(names))
+	sources := catalog.All()
+	if len(sources) < 25 {
+		t.Fatalf("only %d catalogs registered; the suite expects the full testbed", len(sources))
 	}
 	queries := Queries()
 	nonEmpty := 0
 	for _, q := range queries {
-		for _, cat := range names {
+		for _, s := range sources {
+			cat := s.Name
 			src := retarget(q, cat)
 			label := fmt.Sprintf("q%02d/%s", q.ID, cat)
 			expr, err := xquery.Parse(src)
@@ -110,7 +111,7 @@ func TestPlanInterpreterEquivalenceAcrossCatalogs(t *testing.T) {
 	}
 	if nonEmpty < len(queries) {
 		t.Errorf("only %d of %d cells returned rows — the differential suite is near-vacuous",
-			nonEmpty, len(queries)*len(names))
+			nonEmpty, len(queries)*len(sources))
 	}
 }
 

@@ -214,14 +214,3 @@ func (h *HonorRoll) sort() {
 		h.Entries = h.Entries[:honorRollSize]
 	}
 }
-
-// Format renders the honor roll as a text table.
-func (h *HonorRoll) Format() string {
-	var b strings.Builder
-	b.WriteString("THALIA Honor Roll\n")
-	b.WriteString("rank  system                      group                 correct  complexity\n")
-	for i, e := range h.Entries {
-		fmt.Fprintf(&b, "%4d  %-26s  %-20s  %5d/12  %10d\n", i+1, e.System, e.Group, e.Correct, e.Complexity)
-	}
-	return b.String()
-}

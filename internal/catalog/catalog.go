@@ -140,19 +140,6 @@ func (s *Source) Document() (*xmldom.Document, error) {
 	return s.doc, nil
 }
 
-// NameIndex returns the by-name element index over the materialized
-// document. The document is memoized by materialize and the index by
-// Document.NameIndex, so both are built at most once per source and shared
-// by every evaluation — the path/value indexes the compiled-plan engine
-// consults.
-func (s *Source) NameIndex() (*xmldom.NameIndex, error) {
-	doc, err := s.Document()
-	if err != nil {
-		return nil, err
-	}
-	return doc.NameIndex(), nil
-}
-
 // Schema returns the XML Schema inferred from the extracted document, as
 // published alongside each catalog on the THALIA site.
 func (s *Source) Schema() (*xsd.Schema, error) {
@@ -279,16 +266,6 @@ func All() []*Source {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Names returns the sorted short names of all sources.
-func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, s := range all {
-		names[i] = s.Name
-	}
-	return names
 }
 
 // Resolver returns an xquery-compatible document resolver over the testbed:

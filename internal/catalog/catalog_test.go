@@ -299,10 +299,10 @@ func TestGetUnknown(t *testing.T) {
 }
 
 func TestNamesSorted(t *testing.T) {
-	names := Names()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Errorf("names not sorted: %q >= %q", names[i-1], names[i])
+	all := All()
+	for i := 1; i < len(all); i++ {
+		if all[i-1].Name >= all[i].Name {
+			t.Errorf("sources not sorted by name: %q >= %q", all[i-1].Name, all[i].Name)
 		}
 	}
 }
@@ -412,21 +412,17 @@ func TestMaterializeAll(t *testing.T) {
 	if err := MaterializeAll(8); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range Names() {
-		s, err := Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, s := range All() {
 		d1, err := s.Document()
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", s.Name, err)
 		}
 		d2, err := s.Document()
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", s.Name, err)
 		}
 		if d1 != d2 {
-			t.Errorf("%s: Document() rebuilt instead of reusing the cache", name)
+			t.Errorf("%s: Document() rebuilt instead of reusing the cache", s.Name)
 		}
 	}
 	// Degenerate worker counts clamp rather than deadlock.

@@ -37,7 +37,7 @@ func TestBuildHealsAfterTransientFailure(t *testing.T) {
 	if db == nil {
 		t.Fatal("second build returned no database")
 	}
-	if _, err := db.Table("gatech"); err != nil {
+	if _, err := db.Query("SELECT * FROM gatech"); err != nil {
 		t.Fatalf("healed database is missing relations: %v", err)
 	}
 	if calls != 2 {

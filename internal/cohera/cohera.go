@@ -35,9 +35,8 @@ import (
 )
 
 // System is the Cohera model. It is safe for concurrent use: the testbed is
-// shredded into relations exactly once behind the build mutex, queries only
-// read the shredded tables, and minidb's UDF-invocation tally is
-// mutex-protected inside the engine.
+// shredded into relations exactly once behind the build mutex, and queries
+// only read the shredded tables.
 //
 // The build is all-or-nothing: s.db is published only after shredding and
 // view creation fully succeed, and a build error is returned but never

@@ -80,9 +80,6 @@ const (
 	// KindPlan is one compiled-plan evaluation; its attrs report how many
 	// times the plan has been reused, making cache behavior visible.
 	KindPlan Kind = "plan"
-	// KindIndex marks a document name-index consulted by compiled path-step
-	// execution instead of a full tree walk.
-	KindIndex Kind = "index"
 )
 
 // Attr is one key=value annotation on a span or event.

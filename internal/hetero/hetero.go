@@ -80,18 +80,6 @@ func (g Group) String() string {
 	}
 }
 
-// Group returns the paper's grouping for the case.
-func (c Case) Group() Group {
-	switch {
-	case c <= LanguageExpression:
-		return GroupAttribute
-	case c <= SemanticIncompatibility:
-		return GroupMissingData
-	default:
-		return GroupStructural
-	}
-}
-
 // Info carries the descriptive metadata for one case.
 type Info struct {
 	Case        Case

@@ -34,8 +34,12 @@ func TestGrouping(t *testing.T) {
 	}
 	counts := map[Group]int{}
 	for c, g := range wantGroups {
-		if c.Group() != g {
-			t.Errorf("%v grouped as %v, want %v", c, c.Group(), g)
+		info, err := Describe(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Group != g {
+			t.Errorf("%v grouped as %v, want %v", c, info.Group, g)
 		}
 		counts[g]++
 	}

@@ -83,13 +83,6 @@ func (w *Writer) Append(e Event) (Event, error) {
 	return e, nil
 }
 
-// Seq returns the sequence number of the last appended event.
-func (w *Writer) Seq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.seq
-}
-
 // Close flushes the buffer and, for Create-owned files, syncs and closes
 // the file.
 func (w *Writer) Close() error {

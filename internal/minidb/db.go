@@ -11,11 +11,6 @@ type Table struct {
 	Name    string
 	Columns []string
 	Rows    [][]Value
-
-	// eqIdx holds lazily built per-column equality indexes consulted by
-	// single-table WHERE scans; see eqIndexFor.
-	idxMu sync.Mutex
-	eqIdx map[int]*eqIndex
 }
 
 // NewTable creates an empty table with the given columns.
@@ -62,17 +57,6 @@ func (db *DB) CreateTable(t *Table) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.tables[strings.ToLower(t.Name)] = t
-}
-
-// Table returns the named base table.
-func (db *DB) Table(name string) (*Table, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("minidb: no table %q", name)
-	}
-	return t, nil
 }
 
 // CreateView registers a named view over a SELECT statement — the mechanism

@@ -93,19 +93,15 @@ func (db *DB) execSelect(stmt *SelectStmt, depth int) (*Result, error) {
 		tables = append(tables, t)
 	}
 
-	// Single-table scans with a qualifying equality conjunct go through the
-	// value index; everything else takes the nested-loop cartesian product
-	// with WHERE filtering.
-	joined, indexed, err := db.indexedScan(stmt, bind, tables)
-	if err != nil {
-		return nil, err
-	}
-	var build func(i int, acc []Value) error
-	build = func(i int, acc []Value) error {
+	// The nested loop fills one joined-row buffer per SELECT and evaluates
+	// WHERE on it in place. The next combination overwrites the buffer, so
+	// only the rows WHERE keeps are copied out.
+	var joined [][]Value
+	var scan func(i int, acc []Value) error
+	scan = func(i int, acc []Value) error {
 		if i == len(tables) {
-			row := append([]Value(nil), acc...)
 			if stmt.Where != nil {
-				v, err := db.evalSQL(stmt.Where, bind, row)
+				v, err := db.evalSQL(stmt.Where, bind, acc)
 				if err != nil {
 					return err
 				}
@@ -113,20 +109,18 @@ func (db *DB) execSelect(stmt *SelectStmt, depth int) (*Result, error) {
 					return nil
 				}
 			}
-			joined = append(joined, row)
+			joined = append(joined, append([]Value(nil), acc...))
 			return nil
 		}
 		for _, r := range tables[i].Rows {
-			if err := build(i+1, append(acc, r...)); err != nil {
+			if err := scan(i+1, append(acc, r...)); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if !indexed {
-		if err := build(0, nil); err != nil {
-			return nil, err
-		}
+	if err := scan(0, make([]Value, 0, len(bind.cols))); err != nil {
+		return nil, err
 	}
 
 	// ORDER BY before projection so expressions can reference any column.
@@ -426,9 +420,11 @@ func (db *DB) call(name string, args []Value) (Value, error) {
 		if start > len(s) {
 			return Text(""), nil
 		}
-		end := start + int(n)
-		if end > len(s) {
-			end = len(s)
+		// Clamp the end to [start, len(s)] in float arithmetic: a negative
+		// length, NaN or one past int's range must not reach the slice.
+		end := len(s)
+		if n < float64(end-start) {
+			end = start + max(int(n), 0)
 		}
 		return Text(s[start:end]), nil
 	}

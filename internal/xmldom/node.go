@@ -13,7 +13,6 @@ package xmldom
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // NodeKind discriminates the concrete type of a Node.
@@ -70,11 +69,6 @@ type Comment struct {
 type Document struct {
 	// Root is the document element. It is never nil for a parsed document.
 	Root *Element
-
-	// idx memoizes the document's name index (see NameIndex); built lazily
-	// because most documents are parsed, queried once and discarded.
-	idxOnce sync.Once
-	idx     *NameIndex
 }
 
 // Kind implements Node.

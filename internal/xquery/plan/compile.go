@@ -3,10 +3,8 @@ package plan
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
-	"thalia/internal/explain"
 	"thalia/internal/xmldom"
 	"thalia/internal/xquery"
 )
@@ -389,11 +387,7 @@ func (c *compiler) compilePath(n *xquery.PathExpr) (compiled, error) {
 }
 
 // execStep runs one compiled step: axis navigation, then predicates in
-// order — the interpreter's step semantics, with one difference in
-// mechanism: the descendant axis from a document node is served from the
-// document's memoized name index instead of walking the tree, which is
-// result-identical because the index stores root-plus-descendants in
-// document order.
+// order — the interpreter's step semantics.
 func execStep(rt *runtime, in xquery.Sequence, st *compiledStep) (xquery.Sequence, error) {
 	var out xquery.Sequence
 	if len(in) > 0 {
@@ -411,13 +405,11 @@ func execStep(rt *runtime, in xquery.Sequence, st *compiledStep) (xquery.Sequenc
 					out = append(out, doc.Root)
 				}
 			case xquery.AxisDescendant:
-				els := doc.NameIndex().Elements(st.name)
-				for _, el := range els {
-					out = append(out, el)
+				if st.name == "*" || doc.Root.Name == st.name {
+					out = append(out, doc.Root)
 				}
-				if rt.rec != nil {
-					rt.rec.Event(explain.KindIndex, "//"+st.name,
-						explain.A("hits", strconv.Itoa(len(els))))
+				for _, el := range doc.Root.Descendants(st.name) {
+					out = append(out, el)
 				}
 			}
 			continue

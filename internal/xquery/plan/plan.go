@@ -27,7 +27,6 @@ import (
 // state lives in slots allocated by Eval, so one Plan may be evaluated
 // concurrently against many contexts.
 type Plan struct {
-	src    string // source text, "" when compiled from a bare AST
 	root   compiled
 	nSlots int
 	dump   string
@@ -48,12 +47,7 @@ func CompileQuery(src string) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := Compile(e)
-	if err != nil {
-		return nil, err
-	}
-	p.src = src
-	return p, nil
+	return Compile(e)
 }
 
 // Compile compiles a parsed expression into a plan.
@@ -98,9 +92,6 @@ func (p *Plan) Eval(ctx *xquery.Context) (xquery.Sequence, error) {
 	p.rts.Put(rt)
 	return out, err
 }
-
-// Source returns the query text the plan was compiled from, if any.
-func (p *Plan) Source() string { return p.src }
 
 // Dump renders the compiled plan as an indented textual tree — the format
 // committed as golden files under testdata/plan/ so plan-shape regressions
@@ -157,13 +148,6 @@ func (c *Cache) Get(src string) (*Plan, error) {
 	c.mu.Unlock()
 	c.misses.Add(1)
 	return p, nil
-}
-
-// Len returns the number of cached plans.
-func (c *Cache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
 }
 
 // Stats returns how many Get calls hit and missed the cache.

@@ -89,9 +89,11 @@ func renderSequence(s xquery.Sequence) string {
 var equivalenceQueries = []string{
 	// PathExpr + FLWOR + StringLit + Binary comparison.
 	`FOR $c in doc("a.xml")/catalog/course WHERE $c/instructor = "Mark" RETURN $c/title`,
-	// Descendant axis from the document (index-served in the plan engine).
+	// Descendant axis from the document, which includes the root element.
 	`FOR $t in doc("a.xml")//title RETURN $t`,
 	`FOR $t in doc("a.xml")//nested/title RETURN $t`,
+	`count(doc("a.xml")//catalog)`,
+	`count(doc("a.xml")//*)`,
 	// AxisAttribute + VarRef + predicates.
 	`FOR $c in doc("a.xml")/catalog/course WHERE $c/@credits >= 4 RETURN $c/@id`,
 	`FOR $c in doc("a.xml")/catalog/course[2] RETURN $c/title`,
@@ -224,18 +226,17 @@ func TestCacheCompilesOnce(t *testing.T) {
 	if hits, misses := cache.Stats(); hits != 1 || misses != 1 {
 		t.Fatalf("Stats() = %d hits, %d misses; want 1, 1", hits, misses)
 	}
-	if cache.Len() != 1 {
-		t.Fatalf("Len() = %d, want 1", cache.Len())
+	for i := 0; i < 2; i++ {
+		if _, err := cache.Get(`FOR`); err == nil {
+			t.Fatalf("Get of a syntax error compiled")
+		}
 	}
-	if _, err := cache.Get(`FOR`); err == nil {
-		t.Fatalf("Get of a syntax error compiled")
-	}
-	if cache.Len() != 1 {
-		t.Fatalf("syntax errors must not be cached; Len() = %d", cache.Len())
+	if hits, misses := cache.Stats(); hits != 1 || misses != 1 {
+		t.Fatalf("syntax errors must not be cached; Stats() = %d hits, %d misses", hits, misses)
 	}
 }
 
-func TestPlanExplainShowsReuseAndIndexHits(t *testing.T) {
+func TestPlanExplainShowsReuse(t *testing.T) {
 	p, err := plan.CompileQuery(`count(doc("a.xml")//title)`)
 	if err != nil {
 		t.Fatalf("CompileQuery: %v", err)
@@ -251,9 +252,6 @@ func TestPlanExplainShowsReuseAndIndexHits(t *testing.T) {
 	}
 	if !strings.Contains(outline, "plan: plan") || !strings.Contains(outline, "evals=2") {
 		t.Fatalf("second evaluation's trace should carry evals=2:\n%s", outline)
-	}
-	if !strings.Contains(outline, "index: //title") || !strings.Contains(outline, "hits=4") {
-		t.Fatalf("trace should carry the index hit for //title (4 titles):\n%s", outline)
 	}
 }
 
@@ -277,9 +275,6 @@ func TestPlanDumpShape(t *testing.T) {
 		if !strings.Contains(dump, want) {
 			t.Fatalf("Dump() missing %q:\n%s", want, dump)
 		}
-	}
-	if p.Source() == "" {
-		t.Fatalf("CompileQuery should retain the source text")
 	}
 }
 
