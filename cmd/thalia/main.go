@@ -326,11 +326,7 @@ func bench(args []string) error {
 		if err != nil {
 			return fmt.Errorf("bench: %w", err)
 		}
-		// Streaming contract: generated workloads run without the shared
-		// prep cache so expected answers and documents are per-cell
-		// garbage, keeping live memory O(workers) instead of O(sources).
 		runner.Queries = sc.Queries()
-		runner.Prep = nil
 		systems = []thalia.System{sc.NewMediator()}
 	} else if mixArg != "" || scenarioSize != 0 {
 		return fmt.Errorf("bench: --mix and --scenario-size require --scenario")

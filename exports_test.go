@@ -18,7 +18,6 @@ import (
 // a caller in some non-test file, so code no program runs cannot pile up
 // behind its own tests.
 var testOnlyExports = map[string]string{
-	"benchmark.PrepCache.Stats":           "TestPrepCacheComputesExpectedOncePerQuery counts hits and misses to prove each query's truth is computed once per run",
 	"benchmark.Scorecard.Result":          "tests read one query's outcome from a scorecard by query ID",
 	"catalog.BrownDeepWrapper":            "BenchmarkAblation_DeepExtraction's hand-written deep wrapper, the baseline generic extraction is measured against",
 	"catalog.Source.Fetch":                "BenchmarkAblation_DeepExtraction follows Brown's course links through it",
@@ -28,7 +27,6 @@ var testOnlyExports = map[string]string{
 	"mapping.Lexicon.ToGerman":            "the definition ValueContains is checked against, and the paper's query 5 expansion",
 	"scenario.Scenario.ChallengeXML":      "scenario tests and fuzz targets parse a challenge document back from XML text",
 	"scenario.Scenario.ClassTotals":       "scenario tests check how a mix spreads sources over heterogeneity classes",
-	"scenario.Scenario.Courses":           "TestCoursesKeepTheirInstructors checks that generated courses outlive the walk buffer that held their instructors",
 	"scenario.Scenario.RefRows":           "scenario tests check generated truth against an independent evaluation",
 	"scenario.Scenario.ReferenceDocument": "scenario and detector tests read a source in the reference shape",
 	"xmldom.Document.EncodeCompact":       "xmldom tests and its fuzz target check the compact encoding round-trips",
@@ -36,8 +34,6 @@ var testOnlyExports = map[string]string{
 	"xmldom.MustParse":                    "tests parse fixed XML fixtures",
 	"xquery.Context.Bind":                 "plan tests bind external variables that both XQuery engines must treat identically",
 	"xquery/plan.Plan.Dump":               "feeds the plan goldens",
-	"xsd.Schema.Find":                     "TestFind pins which declarations a name selects anywhere in a schema",
-	"xsd.Schema.Lookup":                   "TestLookup pins path addressing of schema declarations",
 }
 
 // TestEveryInternalExportHasACaller type-checks every non-test Go file in

@@ -23,7 +23,26 @@ var ErrQueryTimeout = errors.New("benchmark: query evaluation timed out")
 type cell struct {
 	sys      int       // index into the systems slice
 	query    int       // index into r.Queries
+	truth    *truth    // the query's expected answer, shared by its cells
 	enqueued time.Time // when the feeder offered the cell (telemetry only)
+}
+
+// truth is one query's expected answer within one run. The ground-truth
+// rows are the same for every system, so the feeder hands one truth to all
+// of a query's cells: the first to need it computes it, the others share
+// the rows (or the error), and it becomes garbage once the query's last
+// cell is scored. Sharing is safe because integration.MatchRows reads its
+// inputs without mutating them.
+type truth struct {
+	once sync.Once
+	rows []integration.Row
+	err  error
+}
+
+// expected returns q's expected rows, computing them on first use.
+func (t *truth) expected(q *Query) ([]integration.Row, error) {
+	t.once.Do(func() { t.rows, t.err = q.Expected() })
+	return t.rows, t.err
 }
 
 // concurrency resolves the runner's worker-pool size: an explicit positive
@@ -68,8 +87,8 @@ func (r *Runner) EvaluateAllContext(ctx context.Context, systems ...integration.
 		}
 	}
 
-	// With a circuit breaker in play, each system's cells must observe the
-	// breaker in query order — consecutive-failure counting is
+	// Under a resilience policy, each system's cells must observe its
+	// circuit breaker in query order — consecutive-failure counting is
 	// order-sensitive, and same-seed runs must see the same breaker
 	// trajectory regardless of worker scheduling. gates is a per-system
 	// ladder: gates[si][qi] opens once cell (si, qi-1) has completed, so a
@@ -80,21 +99,17 @@ func (r *Runner) EvaluateAllContext(ctx context.Context, systems ...integration.
 	// worker, and the earliest incomplete cell per system is never blocked.
 	var breakers []*faultline.Breaker
 	var gates [][]chan struct{}
-	if r.Resilience != nil && r.Resilience.BreakerThreshold > 0 {
+	if r.Resilience != nil {
 		breakers = make([]*faultline.Breaker, len(systems))
 		gates = make([][]chan struct{}, len(systems))
 		for i := range systems {
-			breakers[i] = faultline.NewBreaker(r.Resilience.BreakerThreshold, r.Resilience.BreakerCooldown)
+			breakers[i] = newBreaker()
 			gates[i] = make([]chan struct{}, len(r.Queries)+1)
 			for j := range gates[i] {
 				gates[i][j] = make(chan struct{})
 			}
 			close(gates[i][0])
 		}
-	} else if r.Resilience != nil {
-		// No breaker: cells still retry, against a nil (always-closed)
-		// breaker, with no ordering constraint.
-		breakers = make([]*faultline.Breaker, len(systems))
 	}
 
 	cells := make(chan cell)
@@ -148,7 +163,7 @@ func (r *Runner) EvaluateAllContext(ctx context.Context, systems ...integration.
 					br = breakers[c.sys]
 				}
 				if tel == nil && jr == nil {
-					cards[c.sys].Results[c.query] = r.evalCell(ctx, systems[c.sys], r.Queries[c.query], br)
+					cards[c.sys].Results[c.query] = r.evalCell(ctx, systems[c.sys], r.Queries[c.query], c.truth, br)
 				} else {
 					sysName := systems[c.sys].Name()
 					queryID := r.Queries[c.query].ID
@@ -162,7 +177,7 @@ func (r *Runner) EvaluateAllContext(ctx context.Context, systems ...integration.
 						jr.CellStart(sysName, queryID)
 					}
 					start := time.Now()
-					res := r.evalCell(ctx, systems[c.sys], r.Queries[c.query], br)
+					res := r.evalCell(ctx, systems[c.sys], r.Queries[c.query], c.truth, br)
 					elapsed := time.Since(start)
 					if busy != nil {
 						busy.Dec()
@@ -184,8 +199,9 @@ func (r *Runner) EvaluateAllContext(ctx context.Context, systems ...integration.
 
 feed:
 	for qi := range r.Queries {
+		t := &truth{}
 		for si := range systems {
-			c := cell{sys: si, query: qi}
+			c := cell{sys: si, query: qi, truth: t}
 			if tel != nil {
 				c.enqueued = time.Now()
 			}
@@ -202,9 +218,6 @@ feed:
 	}
 	if tel != nil && breakers != nil {
 		for i, br := range breakers {
-			if br == nil {
-				continue
-			}
 			sys := telemetry.L("system", systems[i].Name())
 			tel.Gauge(MetricBreakerState, sys).Set(int64(br.State()))
 			tel.Gauge(MetricBreakerOpens, sys).Set(br.Opens())
@@ -228,12 +241,12 @@ feed:
 // degrades to a per-query error result, so one bad cell cannot sink a
 // multi-system run. With ExplainFailures on, failed cells (declined,
 // errored or incorrect) keep their explain trace.
-func (r *Runner) evalCell(ctx context.Context, sys integration.System, q *Query, br *faultline.Breaker) QueryResult {
+func (r *Runner) evalCell(ctx context.Context, sys integration.System, q *Query, t *truth, br *faultline.Breaker) QueryResult {
 	if !r.ExplainFailures {
-		return r.evalCellRec(ctx, sys, q, nil, br)
+		return r.evalCellRec(ctx, sys, q, t, nil, br)
 	}
 	rec := explain.NewRecorder()
-	res := r.evalCellRec(ctx, sys, q, rec, br)
+	res := r.evalCellRec(ctx, sys, q, t, rec, br)
 	if res.Err != "" || !res.Correct {
 		res.Explain = rec.Trace()
 	} else {
@@ -247,13 +260,13 @@ func (r *Runner) evalCell(ctx context.Context, sys integration.System, q *Query,
 // evalCellRec is evalCell's core. A non-nil rec wraps the Answer call in a
 // root eval span and threads the recorder to the system through the request
 // context; a nil rec takes the original zero-overhead path.
-func (r *Runner) evalCellRec(ctx context.Context, sys integration.System, q *Query, rec *explain.Recorder, br *faultline.Breaker) QueryResult {
+func (r *Runner) evalCellRec(ctx context.Context, sys integration.System, q *Query, t *truth, rec *explain.Recorder, br *faultline.Breaker) QueryResult {
 	res := QueryResult{QueryID: q.ID}
 	if err := ctx.Err(); err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	want, err := r.expected(q)
+	want, err := t.expected(q)
 	if err != nil {
 		res.Err = fmt.Sprintf("expected answer: %v", err)
 		return res
@@ -307,11 +320,7 @@ func (r *Runner) Explain(ctx context.Context, sys integration.System, queryID in
 	for _, q := range r.Queries {
 		if q.ID == queryID {
 			rec := explain.NewRecorder()
-			var br *faultline.Breaker
-			if r.Resilience != nil && r.Resilience.BreakerThreshold > 0 {
-				br = faultline.NewBreaker(r.Resilience.BreakerThreshold, r.Resilience.BreakerCooldown)
-			}
-			res := r.evalCellRec(ctx, sys, q, rec, br)
+			res := r.evalCellRec(ctx, sys, q, &truth{}, rec, newBreaker())
 			tr := rec.Trace()
 			res.Explain = tr
 			return res, tr, nil
@@ -321,17 +330,12 @@ func (r *Runner) Explain(ctx context.Context, sys integration.System, queryID in
 }
 
 // answer invokes sys.Answer, bounding it by the runner's per-query timeout
-// and the context. Answer does not take a context (systems model legacy
-// engines), so a cell that overruns is abandoned: its goroutine finishes in
-// the background and its late result is dropped.
+// and the context; under a resilience policy the timeout bounds each
+// attempt. Answer does not take a context (systems model legacy engines),
+// so a cell that overruns is abandoned: its goroutine finishes in the
+// background and its late result is dropped.
 func (r *Runner) answer(ctx context.Context, sys integration.System, req integration.Request) (*integration.Answer, error) {
-	return r.answerWithin(ctx, sys, req, r.QueryTimeout)
-}
-
-// answerWithin is answer's core with an explicit deadline: the resilience
-// loop passes its per-attempt timeout (never larger than QueryTimeout),
-// the plain path passes QueryTimeout itself.
-func (r *Runner) answerWithin(ctx context.Context, sys integration.System, req integration.Request, d time.Duration) (*integration.Answer, error) {
+	d := r.QueryTimeout
 	if d <= 0 && ctx.Done() == nil {
 		return sys.Answer(req)
 	}

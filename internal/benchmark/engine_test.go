@@ -1,6 +1,7 @@
 package benchmark
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -13,7 +14,9 @@ import (
 	"thalia/internal/cohera"
 	"thalia/internal/integration"
 	"thalia/internal/iwiz"
+	"thalia/internal/journal"
 	"thalia/internal/rewrite"
+	"thalia/internal/telemetry"
 	"thalia/internal/ufmw"
 )
 
@@ -106,6 +109,116 @@ func TestParallelMatchesSequentialByteIdentical(t *testing.T) {
 		}
 		if got := renderCards(cards); got != want {
 			t.Errorf("concurrency %d: ranked scorecards differ from sequential path\nsequential:\n%s\nparallel:\n%s", workers, want, got)
+		}
+	}
+}
+
+// TestObserverMatrix pins the observers' invisibility together: every
+// subset of {telemetry, ExplainFailures, journal} at pools 1, 2 and 8
+// renders the plain sequential run's scorecards byte for byte and scores
+// the digest in testdata/paper12.digest. The default resilience policy
+// with no faults, with telemetry and the journal on and off, renders the
+// same scorecards and scores testdata/paper12-resilience.digest (its
+// attempt histories are part of the digest). A journaled run's replay
+// must reproduce the digest too.
+func TestObserverMatrix(t *testing.T) {
+	plain, err := NewSequentialRunner().EvaluateAll(allSystems()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderCards(plain)
+	for _, resilient := range []bool{false, true} {
+		golden := "testdata/paper12.digest"
+		if resilient {
+			golden = "testdata/paper12-resilience.digest"
+		}
+		digest := readDigest(t, golden)
+		for mask := 0; mask < 8; mask++ {
+			tel, exp, jr := mask&1 != 0, mask&2 != 0, mask&4 != 0
+			if resilient && exp {
+				continue
+			}
+			for _, pool := range []int{1, 2, 8} {
+				var buf bytes.Buffer
+				r := &Runner{Queries: Queries(), Concurrency: pool, ExplainFailures: exp}
+				name := "plain"
+				if resilient {
+					r.Resilience = DefaultResilience(7)
+					name = "resilience"
+				}
+				if tel {
+					r.Telemetry = telemetry.NewRegistry()
+					name += "+telemetry"
+				}
+				if exp {
+					name += "+explain"
+				}
+				if jr {
+					r.Journal = &journal.Recorder{W: journal.NewWriter(&buf), RunID: "matrix"}
+					name += "+journal"
+				}
+				t.Run(fmt.Sprintf("%s/pool%d", name, pool), func(t *testing.T) {
+					cards, err := r.EvaluateAll(allSystems()...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := renderCards(cards); got != want {
+						t.Errorf("rendered scorecards differ from the plain sequential run")
+					}
+					if got := ScorecardDigest(cards); got != digest {
+						t.Errorf("scorecard digest %s, want %s", got, digest)
+					}
+					if !jr {
+						return
+					}
+					events, err := journal.ReadAll(&buf)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if p := journal.Replay(events); p.Verify() != nil || p.End.Digest != digest {
+						t.Errorf("journal does not replay to %s: %v", digest, p.Verify())
+					}
+				})
+			}
+		}
+	}
+}
+
+// readDigest reads a committed scorecard digest.
+func readDigest(t *testing.T, path string) string {
+	t.Helper()
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.TrimSpace(string(golden))
+}
+
+// TestTruthComputedOncePerQuery proves the sharing the engine promises:
+// across a 4-system run, each query's ground truth is computed exactly
+// once, whatever the pool size.
+func TestTruthComputedOncePerQuery(t *testing.T) {
+	for _, pool := range []int{1, 2, 8} {
+		var mu sync.Mutex
+		calls := map[int]int{}
+		var queries []*Query
+		for _, q := range Queries() {
+			queries = append(queries, NewQuery(q.ID, q.Case, q.Name, q.XQuery, q.Reference, q.ChallengeSource, q.Fields,
+				func() ([]integration.Row, error) {
+					mu.Lock()
+					calls[q.ID]++
+					mu.Unlock()
+					return q.Expected()
+				}))
+		}
+		r := &Runner{Queries: queries, Concurrency: pool}
+		if _, err := r.EvaluateAll(allSystems()...); err != nil {
+			t.Fatalf("pool %d: %v", pool, err)
+		}
+		for _, q := range queries {
+			if calls[q.ID] != 1 {
+				t.Errorf("pool %d: q%d truth computed %d times, want once", pool, q.ID, calls[q.ID])
+			}
 		}
 	}
 }

@@ -92,10 +92,10 @@ func benchmarkEvalCell(b *testing.B, explainFailures bool) {
 	sys := allSystems()[0]
 	q := r.Queries[3] // q4: declined by Cohera, exercises the failure path
 	ctx := context.Background()
-	r.evalCell(ctx, sys, q, nil) // warm the system's one-time build
+	r.evalCell(ctx, sys, q, &truth{}, nil) // warm the system's one-time build
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.evalCell(ctx, sys, q, nil)
+		r.evalCell(ctx, sys, q, &truth{}, nil)
 	}
 }

@@ -63,8 +63,12 @@ func ScorecardDigest(ranked []*Scorecard) string {
 	return journal.DigestCards(JournalCards(ranked))
 }
 
+// telemetryInterval is how often a journaled run samples its metrics
+// registry into telemetry events while it is in flight.
+const telemetryInterval = 250 * time.Millisecond
+
 // startTelemetrySampler launches the journal's periodic telemetry sampling:
-// every Recorder interval the runtime vitals are captured into the run's
+// every telemetryInterval the runtime vitals are captured into the run's
 // registry and a full snapshot is appended as a telemetry event. The
 // returned stop function halts the sampler and waits for it to exit, then
 // appends one final snapshot so even runs shorter than the interval journal
@@ -74,7 +78,7 @@ func startTelemetrySampler(jr *journal.Recorder, tel *telemetry.Registry) (stop 
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		t := time.NewTicker(jr.Interval())
+		t := time.NewTicker(telemetryInterval)
 		defer t.Stop()
 		for {
 			select {

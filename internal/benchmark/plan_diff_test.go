@@ -114,49 +114,3 @@ func TestPlanInterpreterEquivalenceAcrossCatalogs(t *testing.T) {
 			nonEmpty, len(queries)*len(sources))
 	}
 }
-
-// TestScorecardsByteIdenticalWithPrepCache pins the shared-prep cache's
-// invisibility: whatever the pool size, and whether or not a PrepCache is
-// attached, ranked scorecards are byte-identical to the uncached sequential
-// reference. Runs under -race in CI, so cache sharing across the pool is
-// also exercised for data races.
-func TestScorecardsByteIdenticalWithPrepCache(t *testing.T) {
-	ref, err := (&Runner{Queries: Queries(), Concurrency: 1}).EvaluateAll(allSystems()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderCards(ref)
-	for _, workers := range []int{1, 2, 8} {
-		for _, prep := range []bool{false, true} {
-			r := &Runner{Queries: Queries(), Concurrency: workers}
-			if prep {
-				r.Prep = NewPrepCache()
-			}
-			cards, err := r.EvaluateAll(allSystems()...)
-			if err != nil {
-				t.Fatalf("pool %d prep=%v: %v", workers, prep, err)
-			}
-			if got := renderCards(cards); got != want {
-				t.Errorf("pool %d prep=%v: ranked scorecards differ from uncached sequential reference", workers, prep)
-			}
-		}
-	}
-}
-
-// TestPrepCacheComputesExpectedOncePerQuery proves the sharing the cache
-// exists for: across a 4-system run, each query's ground truth is computed
-// exactly once (12 misses) and served from cache for every other cell
-// (36 hits).
-func TestPrepCacheComputesExpectedOncePerQuery(t *testing.T) {
-	r := NewSequentialRunner()
-	if _, err := r.EvaluateAll(allSystems()...); err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := r.Prep.Stats()
-	if misses != int64(len(r.Queries)) {
-		t.Errorf("expected-answer misses = %d, want %d (once per query)", misses, len(r.Queries))
-	}
-	if want := int64(3 * len(r.Queries)); hits != want {
-		t.Errorf("expected-answer hits = %d, want %d (remaining cells served from cache)", hits, want)
-	}
-}

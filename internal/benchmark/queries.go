@@ -52,8 +52,8 @@ func (q *Query) Expected() ([]integration.Row, error) { return q.truth() }
 // workloads (internal/scenario) use this to build query families whose
 // expected answers are computed, not hand-written: truth must return the
 // integrated rows the answer is scored against, and must be safe to call
-// from any goroutine (the engine may invoke it once per cell when no
-// shared-prep cache is attached).
+// from any goroutine (the engine invokes it once per query per run, on
+// whichever worker first needs it).
 func NewQuery(id int, c hetero.Case, name, xquery, reference, challenge string, fields []string, truth func() ([]integration.Row, error)) *Query {
 	return &Query{
 		ID: id, Case: c, Name: name,

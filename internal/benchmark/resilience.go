@@ -32,46 +32,41 @@ const (
 	MetricBreakerOpens = "engine_breaker_opens"
 )
 
+// The fixed parts of the resilience policy. Backoff starts at backoffStart
+// before attempt 2 and doubles per retry, capped at backoffCap. A system's
+// circuit breaker opens after breakerTrip consecutive failures and sheds
+// breakerShed calls before half-opening a probe — counted in calls, not
+// seconds, so breaker trajectories are deterministic (see
+// faultline.Breaker).
+const (
+	backoffStart = time.Millisecond
+	backoffCap   = 8 * time.Millisecond
+	breakerTrip  = 5
+	breakerShed  = 3
+)
+
 // Resilience is the runner's retry/degradation policy: bounded retries
-// with exponential backoff and deterministic jitter, per-attempt deadlines
-// under the existing QueryTimeout, and a per-system circuit breaker. A
-// cell that exhausts its attempts is marked degraded with its attempt
-// history attached — it never aborts the run.
+// with exponential backoff and deterministic jitter, each attempt bounded
+// by the runner's QueryTimeout, and a per-system circuit breaker. A cell
+// that exhausts its attempts is marked degraded with its attempt history
+// attached — it never aborts the run.
 type Resilience struct {
 	// MaxAttempts bounds the tries per cell; values below 1 mean 1.
 	MaxAttempts int
-	// BaseBackoff is the delay before attempt 2; each later retry doubles
-	// it, capped at MaxBackoff. Jitter scales every delay into
-	// [50%, 100%) of its nominal value, deterministically per
-	// (system, query, attempt) from JitterSeed.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	JitterSeed  int64
-	// AttemptTimeout bounds a single attempt; it only tightens the
-	// runner's QueryTimeout, never extends it. Zero means attempts are
-	// bounded by QueryTimeout alone.
-	AttemptTimeout time.Duration
-	// BreakerThreshold opens a system's circuit breaker after that many
-	// consecutive failures; 0 disables the breaker. BreakerCooldown is
-	// how many calls an open breaker sheds before half-opening a probe —
-	// counted in calls, not seconds, so breaker trajectories are
-	// deterministic (see faultline.Breaker).
-	BreakerThreshold int
-	BreakerCooldown  int
+	// JitterSeed scales every backoff into [50%, 100%) of its nominal
+	// value, deterministically per (system, query, attempt).
+	JitterSeed int64
 }
 
-// DefaultResilience is the benchmark's standard policy: three attempts,
-// millisecond-scale backoff, and a breaker that opens after five
-// consecutive failures and probes after shedding three calls.
+// DefaultResilience is the benchmark's standard policy: three attempts
+// with backoff jittered by seed.
 func DefaultResilience(seed int64) *Resilience {
-	return &Resilience{
-		MaxAttempts:      3,
-		BaseBackoff:      time.Millisecond,
-		MaxBackoff:       8 * time.Millisecond,
-		JitterSeed:       seed,
-		BreakerThreshold: 5,
-		BreakerCooldown:  3,
-	}
+	return &Resilience{MaxAttempts: 3, JitterSeed: seed}
+}
+
+// newBreaker returns a closed circuit breaker for one system's run.
+func newBreaker() *faultline.Breaker {
+	return faultline.NewBreaker(breakerTrip, breakerShed)
 }
 
 // attempts returns the effective attempt bound.
@@ -83,24 +78,15 @@ func (p *Resilience) attempts() int {
 }
 
 // Backoff returns the delay scheduled after a failed attempt n (1-based):
-// BaseBackoff doubled per retry already taken, capped at MaxBackoff, then
+// backoffStart doubled per retry already taken, capped at backoffCap, then
 // jittered into [50%, 100%) of nominal. Same coordinates, same seed, same
 // delay — the chaos conformance suite depends on it.
 func (p *Resilience) Backoff(system string, query, attempt int) time.Duration {
-	if p.BaseBackoff <= 0 {
-		return 0
-	}
-	d := p.BaseBackoff
-	for i := 1; i < attempt; i++ {
+	d := backoffStart
+	for i := 1; i < attempt && d < backoffCap; i++ {
 		d *= 2
-		if p.MaxBackoff > 0 && d >= p.MaxBackoff {
-			d = p.MaxBackoff
-			break
-		}
 	}
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
+	d = min(d, backoffCap)
 	frac := 0.5 + 0.5*faultline.Jitter(p.JitterSeed, system, query, attempt)
 	return time.Duration(float64(d) * frac)
 }
@@ -134,16 +120,12 @@ func retryable(err error) bool {
 }
 
 // answerResilient runs the runner's retry loop around one cell: breaker
-// check, attempt-stamped Answer call under the per-attempt deadline,
-// classification, deterministic backoff. It returns the final answer or
-// error plus the full attempt history. The caller decides degradation.
+// check, attempt-stamped Answer call under QueryTimeout, classification,
+// deterministic backoff. It returns the final answer or error plus the
+// full attempt history. The caller decides degradation.
 func (r *Runner) answerResilient(ctx context.Context, sys integration.System, req integration.Request, rec *explain.Recorder, br *faultline.Breaker) (*integration.Answer, []Attempt, error) {
 	p := r.Resilience
 	system := sys.Name()
-	timeout := r.QueryTimeout
-	if p.AttemptTimeout > 0 && (timeout <= 0 || p.AttemptTimeout < timeout) {
-		timeout = p.AttemptTimeout
-	}
 	max := p.attempts()
 	attempts := make([]Attempt, 0, max)
 	var lastErr error
@@ -175,7 +157,7 @@ func (r *Runner) answerResilient(ctx context.Context, sys integration.System, re
 		if rec != nil {
 			span = rec.Begin(explain.KindAttempt, fmt.Sprintf("attempt %d", n))
 		}
-		ans, err := r.answerWithin(ctx, sys, attemptReq, timeout)
+		ans, err := r.answer(ctx, sys, attemptReq)
 		if err == nil {
 			span.With("outcome", "ok")
 			span.End()

@@ -35,19 +35,12 @@ type Runner struct {
 	// declined, errored or incorrect. Like Telemetry, it observes without
 	// perturbing: rendered scorecards are byte-identical either way.
 	ExplainFailures bool
-	// Prep, when non-nil, is the per-run shared-preparation cache: expected
-	// answers are computed once per query instead of once per cell.
-	// NewRunner and NewSequentialRunner attach one; a nil Prep reproduces
-	// the original recompute-per-cell path. Like Telemetry, it cannot
-	// change results: scorecards are byte-identical with or without it.
-	Prep *PrepCache
 	// Resilience, when non-nil, runs every cell through the retry /
 	// circuit-breaker / graceful-degradation policy and attaches attempt
-	// histories (QueryResult.Attempts). With a breaker enabled, each
-	// system's cells evaluate in query order (systems still run in
-	// parallel) so breaker trajectories — and therefore scorecards — are
-	// deterministic. A cell that exhausts its retries is marked Degraded;
-	// it never aborts the run.
+	// histories (QueryResult.Attempts). Each system's cells evaluate in
+	// query order (systems still run in parallel) so breaker trajectories
+	// — and therefore scorecards — are deterministic. A cell that exhausts
+	// its retries is marked Degraded; it never aborts the run.
 	Resilience *Resilience
 	// Journal, when non-nil, is the run's flight recorder: the evaluation
 	// appends a run-start event, per-cell lifecycle events (with attempt
@@ -60,28 +53,20 @@ type Runner struct {
 	Journal *journal.Recorder
 }
 
-// NewRunner returns a runner over all twelve queries with a fresh
-// shared-prep cache attached.
-func NewRunner() *Runner { return &Runner{Queries: Queries(), Prep: NewPrepCache()} }
+// NewRunner returns a runner over all twelve queries, one worker per CPU.
+func NewRunner() *Runner { return &Runner{Queries: Queries()} }
 
 // NewSequentialRunner returns a runner that evaluates cells strictly one at
 // a time, in query order — the reference path the concurrent engine is
 // differentially tested against.
-func NewSequentialRunner() *Runner {
-	return &Runner{Queries: Queries(), Concurrency: 1, Prep: NewPrepCache()}
-}
+func NewSequentialRunner() *Runner { return &Runner{Queries: Queries(), Concurrency: 1} }
 
-// NewStreamingRunner returns a runner over a generated query set with NO
-// shared-prep cache attached: expected answers are computed per cell and
-// become garbage as soon as the cell is scored, instead of accumulating
-// for the lifetime of the run. This is the bounded-memory contract
-// scenario-scale evaluations rely on — a 10k-source workload holds
-// O(pool) cells of state, not O(sources) — at the cost of recomputing
-// preparation work that a PrepCache would share.
-// Scorecards are byte-identical to a prep-cached run of the same queries.
-func NewStreamingRunner(queries []*Query) *Runner {
-	return &Runner{Queries: queries}
-}
+// NewStreamingRunner returns a runner over a generated query set. Every
+// runner streams: a query's expected answer is computed by the first of its
+// cells, shared by the rest, and becomes garbage once its last cell is
+// scored, so a 10k-source workload holds the truth of the queries in flight,
+// not O(sources) of it.
+func NewStreamingRunner(queries []*Query) *Runner { return &Runner{Queries: queries} }
 
 // Evaluate runs every benchmark query through the system and scores the
 // outcome against the expected integrated answers. A query whose expected

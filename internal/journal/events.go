@@ -50,11 +50,6 @@ const (
 	TypeTelemetry EventType = "telemetry"
 	// TypeRunEnd closes a journal: ranked outcome and scorecard digest.
 	TypeRunEnd EventType = "run_end"
-	// TypeGap is never written to a journal. It is synthesized for a slow
-	// SSE consumer whose bounded buffer overflowed: the events in
-	// [Gap.From, Gap.To] were dropped from the live stream (the journal
-	// still has them; reconnect with Last-Event-ID to recover).
-	TypeGap EventType = "gap"
 )
 
 // Event is one journal record: the envelope (monotonic sequence number and
@@ -67,7 +62,6 @@ type Event struct {
 	Cell      *Cell               `json:"cell,omitempty"`
 	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
 	RunEnd    *RunEnd             `json:"run_end,omitempty"`
-	Gap       *Gap                `json:"gap,omitempty"`
 }
 
 // MarshalLine renders the event as its canonical single-line JSON — the
@@ -168,14 +162,6 @@ type RunEnd struct {
 	Degraded int `json:"degraded,omitempty"`
 	// ElapsedNS is the run's wall-clock duration (informational).
 	ElapsedNS int64 `json:"elapsed_ns,omitempty"`
-}
-
-// Gap is the payload of the synthesized slow-consumer event: the journal
-// sequence numbers [From, To] were dropped from this subscriber's live
-// stream.
-type Gap struct {
-	From uint64 `json:"from"`
-	To   uint64 `json:"to"`
 }
 
 // Card is a system's journaled scorecard: its cell_done payloads in query

@@ -23,22 +23,6 @@ type Recorder struct {
 	Seed int64
 	// FaultPlanDigest fingerprints the injected fault plan, if any.
 	FaultPlanDigest string
-	// TelemetryInterval is how often the engine samples the metrics
-	// registry into telemetry events while a run is in flight; zero means
-	// DefaultTelemetryInterval.
-	TelemetryInterval time.Duration
-}
-
-// DefaultTelemetryInterval is the telemetry sampling cadence when the
-// recorder does not choose one.
-const DefaultTelemetryInterval = 250 * time.Millisecond
-
-// Interval resolves the effective telemetry sampling interval.
-func (r *Recorder) Interval() time.Duration {
-	if r.TelemetryInterval > 0 {
-		return r.TelemetryInterval
-	}
-	return DefaultTelemetryInterval
 }
 
 // RunStart appends the opening event, stamping schema version, wall-clock

@@ -53,17 +53,6 @@ func TestRecorderEndToEnd(t *testing.T) {
 	}
 }
 
-func TestRecorderInterval(t *testing.T) {
-	r := &Recorder{}
-	if r.Interval() != DefaultTelemetryInterval {
-		t.Errorf("zero interval = %v", r.Interval())
-	}
-	r.TelemetryInterval = time.Second
-	if r.Interval() != time.Second {
-		t.Errorf("explicit interval = %v", r.Interval())
-	}
-}
-
 func TestMarshalLineIsOneLine(t *testing.T) {
 	e := Event{Seq: 3, Type: TypeCellStart, Cell: &Cell{System: "alpha", Query: 1}}
 	line, err := e.MarshalLine()

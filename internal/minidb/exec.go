@@ -413,15 +413,16 @@ func (db *DB) call(name string, args []Value) (Value, error) {
 		s := args[0].String()
 		from, _ := args[1].AsNumber()
 		n, _ := args[2].AsNumber()
-		start := int(from) - 1
-		if start < 0 {
-			start = 0
+		// Clamp the start to [0, len(s)] and the end to [start, len(s)] in
+		// float arithmetic: a negative position or length, NaN or one past
+		// int's range must not reach the slice.
+		start := 0
+		if from > 1 {
+			start = len(s)
+			if from-1 < float64(len(s)) {
+				start = int(from) - 1
+			}
 		}
-		if start > len(s) {
-			return Text(""), nil
-		}
-		// Clamp the end to [start, len(s)] in float arithmetic: a negative
-		// length, NaN or one past int's range must not reach the slice.
 		end := len(s)
 		if n < float64(end-start) {
 			end = start + max(int(n), 0)

@@ -17,9 +17,11 @@ func FuzzQuery(f *testing.F) {
 		`SELECT i.label FROM items i, tags t WHERE i.code = t.code AND t.tag = 'alpha'`,
 		`SELECT * FROM items i, tags t WHERE i.code = t.code AND t.tag + 1 > 0`,
 		`SELECT DISTINCT code FROM items WHERE code = 'a1' ORDER BY qty DESC`,
-		// substr with a negative length, and with one that overflows int.
+		// substr with a negative length, with one that overflows int, and
+		// with a start below int's range.
 		`SELECT substr(label, 2, -1) FROM items`,
 		`SELECT substr(label, 1, 99999999999999999999) FROM items`,
+		`SELECT substr(label, -99999999999999999999, 3) FROM items`,
 	} {
 		f.Add(seed)
 	}

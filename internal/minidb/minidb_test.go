@@ -198,6 +198,7 @@ func TestBuiltins(t *testing.T) {
 		{"SELECT substr(title, 1, 8) FROM courses WHERE num = '15-744'", "Computer"},
 		{"SELECT substr(title, 2, -1) FROM courses WHERE num = '15-744'", ""},
 		{"SELECT substr(title, 1, 99999999999999999999) FROM courses WHERE num = '15-744'", "Computer Networks"},
+		{"SELECT substr(title, -99999999999999999999, 3) FROM courses WHERE num = '15-744'", "Com"},
 		{"SELECT num || '!' FROM courses WHERE num = '15-744'", "15-744!"},
 		{"SELECT units + 1 FROM courses WHERE num = '15-744'", "13"},
 		{"SELECT units * 2 / 4 FROM courses WHERE num = '15-744'", "6"},

@@ -23,7 +23,6 @@ package scenario
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -261,20 +260,6 @@ func (sc *Scenario) pickCase(r *rng) hetero.Case {
 		n -= w
 	}
 	return sc.mixCases[len(sc.mixCases)-1]
-}
-
-// Courses returns source i's ground-truth course data. The slice is
-// freshly generated on every call (regeneration is the streaming model's
-// memory bound) and safe to retain or mutate.
-func (sc *Scenario) Courses(i int) []catalog.Course {
-	w := sc.walk(i, false)
-	cs := make([]catalog.Course, 0, w.n)
-	for w.more() {
-		c := w.next()
-		c.Instructors = slices.Clone(c.Instructors) // the walk reuses its buffer
-		cs = append(cs, c)
-	}
-	return cs
 }
 
 // rng is a splitmix64 stream: tiny, allocation-free, and a pure function

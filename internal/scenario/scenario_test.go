@@ -283,29 +283,6 @@ func TestDetectDocsNilSafe(t *testing.T) {
 	}
 }
 
-// TestStreamingRunnerMatchesPrepCached pins the contract NewStreamingRunner
-// documents: no prep cache changes memory behavior, never scores.
-func TestStreamingRunnerMatchesPrepCached(t *testing.T) {
-	sc, err := New(Params{Sources: 10, Seed: 2, Size: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := benchmark.NewStreamingRunner(sc.Queries())
-	stream.Concurrency = 4
-	cached := &benchmark.Runner{Queries: sc.Queries(), Concurrency: 4, Prep: benchmark.NewPrepCache()}
-	a, err := stream.EvaluateAll(sc.NewMediator())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cached.EvaluateAll(sc.NewMediator())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a[0].Format() != b[0].Format() {
-		t.Errorf("streaming and prep-cached scorecards differ:\n%s\n---\n%s", a[0].Format(), b[0].Format())
-	}
-}
-
 func TestQuerySpecStable(t *testing.T) {
 	sc, err := New(Params{Sources: 6, Seed: 17})
 	if err != nil {
@@ -318,36 +295,6 @@ func TestQuerySpecStable(t *testing.T) {
 		}
 		if !strings.Contains(a.XQuery, sc.Name(i)+".xml") {
 			t.Errorf("source %d: query does not reference its own document: %s", i, a.XQuery)
-		}
-	}
-}
-
-// TestCoursesKeepTheirInstructors checks that the courses Courses returns
-// outlive the walk that generated them: each keeps the instructors its
-// reference document element lists, though a walk generates every
-// course's instructors into one buffer.
-func TestCoursesKeepTheirInstructors(t *testing.T) {
-	sc, err := New(Params{Sources: 6, Seed: 4, Size: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < sc.Sources(); i++ {
-		courses := sc.Courses(i)
-		els := sc.ReferenceDocument(i).Root.ChildElements()
-		if len(courses) != len(els) {
-			t.Fatalf("source %d: %d courses, %d course elements", i, len(courses), len(els))
-		}
-		for k, c := range courses {
-			var want, got []string
-			for _, in := range els[k].ChildrenNamed("instructor") {
-				want = append(want, in.Text())
-			}
-			for _, in := range c.Instructors {
-				got = append(got, in.Name)
-			}
-			if strings.Join(got, "; ") != strings.Join(want, "; ") {
-				t.Errorf("source %d course %d: instructors %q, want %q", i, k, got, want)
-			}
 		}
 	}
 }

@@ -24,19 +24,12 @@ import (
 // the background; GET /runs lists runs from their replayed projections;
 // GET /runs/{id} serves one projection with ETag revalidation; and
 // GET /runs/{id}/events streams the journal live over SSE — every event the
-// flight recorder appends, with heartbeats, Last-Event-ID resume, and
-// bounded per-subscriber buffers that degrade to an explicit gap event
-// rather than stall the run.
+// flight recorder appends, with heartbeats and Last-Event-ID resume. Each
+// stream reads the run's own event backlog at its own pace, so a slow
+// client lags but loses nothing, and the run never waits for it.
 
-const (
-	// defaultSubscriberBuffer bounds one SSE subscriber's event backlog. A
-	// consumer that falls further behind gets a gap event naming the seq
-	// range it missed (it can re-fetch via Last-Event-ID); the run itself
-	// never blocks on a slow reader.
-	defaultSubscriberBuffer = 256
-	// defaultHeartbeat is the SSE keep-alive comment interval.
-	defaultHeartbeat = 15 * time.Second
-)
+// defaultHeartbeat is the SSE keep-alive comment interval.
+const defaultHeartbeat = 15 * time.Second
 
 // runManager owns the site's benchmark runs: live ones being journaled and
 // finished ones (including journals reloaded from disk at startup).
@@ -46,55 +39,51 @@ type runManager struct {
 	nextID    int
 	runs      map[string]*run
 	order     []string // creation order, for stable /runs listings
-	subBuffer int
 	heartbeat time.Duration
 }
 
 func newRunManager() *runManager {
 	return &runManager{
 		runs:      map[string]*run{},
-		subBuffer: defaultSubscriberBuffer,
 		heartbeat: defaultHeartbeat,
 	}
 }
 
 // run is one benchmark evaluation and its journal: the full event backlog
-// (source of truth for resume), the incrementally-applied projection (what
-// /runs/{id} serves), and the live SSE subscribers.
+// (source of truth for every stream and resume) and the
+// incrementally-applied projection (what /runs/{id} serves).
 type run struct {
 	id string
 
 	mu       sync.Mutex
 	events   []journal.Event
 	proj     *journal.Projection
-	subs     map[*runSubscriber]struct{}
 	finished bool
-	done     chan struct{} // closed once the run goroutine is finished
+	// changed is closed, and replaced, whenever the run publishes an event
+	// or finishes: a stream that has sent the whole backlog waits on it.
+	changed chan struct{}
 }
 
 func newRun(id string) *run {
 	return &run{
-		id:   id,
-		proj: journal.NewProjection(),
-		subs: map[*runSubscriber]struct{}{},
-		done: make(chan struct{}),
+		id:      id,
+		proj:    journal.NewProjection(),
+		changed: make(chan struct{}),
 	}
 }
 
 // publish is the journal writer's tap: called synchronously per appended
-// event, it extends the backlog, advances the projection, and offers the
-// event to every subscriber.
+// event, it extends the backlog, advances the projection, and wakes every
+// waiting stream.
 func (r *run) publish(e journal.Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.events = append(r.events, e)
 	r.proj.Apply(e)
-	for sub := range r.subs {
-		sub.offer(e)
-	}
+	r.wake()
 }
 
-// finish marks the run over and wakes every subscriber for teardown.
+// finish marks the run over and wakes every stream for teardown.
 func (r *run) finish() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -102,39 +91,65 @@ func (r *run) finish() {
 		return
 	}
 	r.finished = true
-	close(r.done)
+	r.wake()
 }
 
-// subscribe atomically snapshots the backlog after lastSeq and registers a
-// live subscriber — atomically, so no event can fall between the snapshot
-// and the registration.
-func (r *run) subscribe(lastSeq uint64, buffer int) (backlog []journal.Event, sub *runSubscriber) {
+// wake releases every stream waiting on the run. The caller holds r.mu.
+func (r *run) wake() {
+	close(r.changed)
+	r.changed = make(chan struct{})
+}
+
+// since returns the backlog from index i on, whether the run has finished,
+// and the channel the next change closes. The backlog is only ever
+// appended to, so the returned slice stays valid without the lock.
+func (r *run) since(i int) (events []journal.Event, finished bool, changed <-chan struct{}) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, e := range r.events {
-		if e.Seq > lastSeq {
-			backlog = append(backlog, e)
-		}
+	return r.events[i:len(r.events):len(r.events)], r.finished, r.changed
+}
+
+// runEntry is one row of the GET /runs listing.
+type runEntry struct {
+	ID       string    `json:"id"`
+	Complete bool      `json:"complete"`
+	Cells    int       `json:"cells_done"`
+	Started  time.Time `json:"started_at,omitempty"`
+	Digest   string    `json:"digest,omitempty"`
+	Href     string    `json:"href"`
+}
+
+// entry reads the run's listing row from its projection under the run
+// lock, without building the full summary.
+func (r *run) entry() runEntry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := runEntry{
+		ID: r.id, Complete: r.finished && r.proj.Complete(),
+		Cells: r.proj.CellsDone, Href: "/runs/" + r.id,
 	}
-	sub = &runSubscriber{
-		ch:   make(chan journal.Event, buffer),
-		kick: make(chan struct{}, 1),
+	if r.proj.Start != nil {
+		e.Started = r.proj.Start.StartedAt
 	}
-	r.subs[sub] = struct{}{}
-	return backlog, sub
+	if r.proj.End != nil {
+		e.Digest = r.proj.End.Digest
+	}
+	return e
 }
 
-func (r *run) unsubscribe(sub *runSubscriber) {
+// lastSeq returns the highest sequence number the projection has applied.
+func (r *run) lastSeq() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.subs, sub)
+	return r.proj.LastSeq
 }
 
-// snapshot copies the fields a read endpoint needs under the run lock.
-func (r *run) snapshot() (summary journal.ReportSummary, finished bool) {
+// summary builds the projection's machine-readable summary under the run
+// lock.
+func (r *run) summary() journal.ReportSummary {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.proj.Summary(), r.finished
+	return r.proj.Summary()
 }
 
 // report renders the projection's human report under the run lock.
@@ -142,61 +157,6 @@ func (r *run) report() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.proj.Report()
-}
-
-// runSubscriber is one SSE consumer's bounded mailbox. offer never blocks:
-// when the channel is full the subscriber enters gap mode — events are
-// counted, not queued — until the consumer takes the gap and resumes.
-type runSubscriber struct {
-	ch   chan journal.Event
-	kick chan struct{}
-
-	mu      sync.Mutex
-	gapFrom uint64
-	gapTo   uint64
-}
-
-func (s *runSubscriber) offer(e journal.Event) {
-	// Offers for one subscriber are serialized by the run lock, so the
-	// gap check, the send attempt, and the gap set cannot interleave
-	// with another offer; the sends stay outside s.mu (they are
-	// non-blocking either way, but a send under a lock is a smell the
-	// lockdiscipline analyzer rightly rejects).
-	s.mu.Lock()
-	inGap := s.gapFrom != 0
-	if inGap {
-		// Already in gap mode: widen the gap instead of racing the
-		// consumer for channel slots (which would reorder events).
-		s.gapTo = e.Seq
-	}
-	s.mu.Unlock()
-	if inGap {
-		return
-	}
-	select {
-	case s.ch <- e:
-		return
-	default:
-	}
-	s.mu.Lock()
-	s.gapFrom, s.gapTo = e.Seq, e.Seq
-	s.mu.Unlock()
-	select {
-	case s.kick <- struct{}{}:
-	default:
-	}
-}
-
-// takeGap returns and clears the pending gap, nil if none.
-func (s *runSubscriber) takeGap() *journal.Gap {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.gapFrom == 0 {
-		return nil
-	}
-	g := &journal.Gap{From: s.gapFrom, To: s.gapTo}
-	s.gapFrom, s.gapTo = 0, 0
-	return g
 }
 
 // SetJournalDir persists run journals under dir (one <id>.jsonl per run)
@@ -231,7 +191,6 @@ func (s *Site) SetJournalDir(dir string) error {
 		r.events = events
 		r.proj = journal.Replay(events)
 		r.finished = true
-		close(r.done)
 		rm.runs[id] = r
 		rm.order = append(rm.order, id)
 		// Keep new IDs clear of reloaded ones.
@@ -388,26 +347,10 @@ func (s *Site) runsIndex(w http.ResponseWriter, r *http.Request) {
 			"events": "/runs/" + run.id + "/events",
 		})
 	case http.MethodGet:
-		type entry struct {
-			ID       string    `json:"id"`
-			Complete bool      `json:"complete"`
-			Cells    int       `json:"cells_done"`
-			Started  time.Time `json:"started_at,omitempty"`
-			Digest   string    `json:"digest,omitempty"`
-			Href     string    `json:"href"`
-		}
-		entries := []entry{}
-		for _, run := range s.runs.list() {
-			sum, finished := run.snapshot()
-			e := entry{
-				ID: run.id, Complete: finished && sum.Complete,
-				Cells: sum.CellsDone, Digest: sum.RecordedDigest,
-				Href: "/runs/" + run.id,
-			}
-			if sum.Start != nil {
-				e.Started = sum.Start.StartedAt
-			}
-			entries = append(entries, e)
+		runs := s.runs.list()
+		entries := make([]runEntry, len(runs))
+		for i, run := range runs {
+			entries[i] = run.entry()
 		}
 		writeJSON(w, map[string]any{"runs": entries})
 	default:
@@ -439,25 +382,32 @@ func (s *Site) runPage(w http.ResponseWriter, r *http.Request) {
 
 // runSummary serves one run's projection with ETag revalidation: the tag is
 // the applied sequence number, so a poller pays for a full body only when
-// the journal actually advanced.
+// the journal actually advanced. The tag is checked before any summary is
+// built; a 200 takes its tag from the summary it sends, so the two agree.
 func (s *Site) runSummary(w http.ResponseWriter, r *http.Request, run *run) {
-	sum, _ := run.snapshot()
-	etag := fmt.Sprintf(`"%s-%d"`, run.id, sum.LastSeq)
-	w.Header().Set("ETag", etag)
 	w.Header().Set("Cache-Control", "no-cache")
-	if r.Header.Get("If-None-Match") == etag {
+	if inm := r.Header.Get("If-None-Match"); inm != "" && inm == runETag(run.id, run.lastSeq()) {
+		w.Header().Set("ETag", inm)
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
+	sum := run.summary()
+	w.Header().Set("ETag", runETag(run.id, sum.LastSeq))
 	writeJSON(w, sum)
+}
+
+// runETag is the entity tag of a run's summary at sequence number seq.
+func runETag(id string, seq uint64) string {
+	return `"` + id + "-" + strconv.FormatUint(seq, 10) + `"`
 }
 
 // runEvents streams the run's journal as Server-Sent Events: each journal
 // event is one SSE message whose id is the journal sequence number, so a
 // dropped client resumes exactly where it left off via Last-Event-ID. The
-// stream heartbeats with comment lines, delivers a backlog-then-live
-// handoff with no lost or duplicated events, and ends cleanly when the run
-// finishes or the client disconnects.
+// stream keeps its own index into the run's backlog: it sends what lies
+// past the index, then waits for the run to change. So it delivers every
+// event once, in order, however slowly the client reads, heartbeats while
+// idle, and ends cleanly when the run finishes or the client disconnects.
 func (s *Site) runEvents(w http.ResponseWriter, r *http.Request, run *run) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -474,77 +424,46 @@ func (s *Site) runEvents(w http.ResponseWriter, r *http.Request, run *run) {
 		lastSeq = n
 	}
 
-	backlog, sub := run.subscribe(lastSeq, s.runs.subBuffer)
-	defer run.unsubscribe(sub)
-
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 
-	send := func(e journal.Event) bool {
-		if err := writeSSE(w, e); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
-	}
-	for _, e := range backlog {
-		if !send(e) {
-			return
-		}
-	}
-	flusher.Flush()
-
-	// drainGap empties buffered events (they precede the gap) and then
-	// reports the gap itself, keeping the stream ordered.
-	drainGap := func() bool {
-		for {
-			select {
-			case e := <-sub.ch:
-				if !send(e) {
-					return false
-				}
-			default:
-				if g := sub.takeGap(); g != nil {
-					return send(journal.Event{Seq: g.To, Type: journal.TypeGap, Gap: g})
-				}
-				return true
-			}
-		}
-	}
-
 	heartbeat := time.NewTicker(s.runs.heartbeat)
 	defer heartbeat.Stop()
+	next := 0
 	for {
+		events, finished, changed := run.since(next)
+		for _, e := range events {
+			if e.Seq <= lastSeq {
+				continue
+			}
+			if err := writeSSE(w, e); err != nil {
+				return
+			}
+		}
+		next += len(events)
+		flusher.Flush()
+		if finished {
+			// Run over and its backlog sent: the client sees a clean
+			// EOF, not a stall.
+			return
+		}
 		select {
-		case e := <-sub.ch:
-			if !send(e) {
-				return
-			}
-		case <-sub.kick:
-			if !drainGap() {
-				return
-			}
+		case <-changed:
 		case <-heartbeat.C:
 			if _, err := fmt.Fprint(w, ": heartbeat\n\n"); err != nil {
 				return
 			}
 			flusher.Flush()
-		case <-run.done:
-			// Run over: flush whatever is still queued, then end the
-			// stream — the client sees a clean EOF, not a stall.
-			drainGap()
-			return
 		case <-r.Context().Done():
 			return
 		}
 	}
 }
 
-// writeSSE frames one journal event as an SSE message. Gap events carry no
-// journal payload beyond the missed range; everything else is the event's
-// canonical JSON line.
+// writeSSE frames one journal event as an SSE message whose data is the
+// event's canonical JSON line.
 func writeSSE(w io.Writer, e journal.Event) error {
 	data, err := e.MarshalLine()
 	if err != nil {

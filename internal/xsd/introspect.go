@@ -27,20 +27,6 @@ func (s *Schema) WalkDecls(f func(path string, d *ElementDecl) bool) {
 	walk(s.Root.Name, s.Root)
 }
 
-// Find returns every declaration in the schema with the given element name,
-// anywhere in the tree — the declaration set a descendant ("//name") step
-// resolves to.
-func (s *Schema) Find(name string) []*ElementDecl {
-	var out []*ElementDecl
-	s.WalkDecls(func(path string, d *ElementDecl) bool {
-		if d.Name == name {
-			out = append(out, d)
-		}
-		return true
-	})
-	return out
-}
-
 // Descendants returns the declarations with the given name in the subtree
 // rooted at e (excluding e itself); "*" matches every declaration.
 func (e *ElementDecl) Descendants(name string) []*ElementDecl {

@@ -33,16 +33,6 @@ func TestWalkDeclsPaths(t *testing.T) {
 	}
 }
 
-func TestFind(t *testing.T) {
-	s := introspectSchema(t)
-	if got := s.Find("Time"); len(got) != 1 || got[0].Name != "Time" {
-		t.Errorf("Find(Time) = %v", got)
-	}
-	if got := s.Find("time"); len(got) != 0 {
-		t.Errorf("Find is case-sensitive; got %v", got)
-	}
-}
-
 func TestDescendants(t *testing.T) {
 	s := introspectSchema(t)
 	if got := s.Root.Descendants("Time"); len(got) != 1 {

@@ -125,23 +125,6 @@ func (e *ElementDecl) Attribute(name string) *AttrDecl {
 	return nil
 }
 
-// Lookup finds the declaration at a slash-separated path from the root,
-// e.g. "umd/Course/Section/Time". Returns nil if absent.
-func (s *Schema) Lookup(path string) *ElementDecl {
-	parts := strings.Split(path, "/")
-	if s.Root == nil || len(parts) == 0 || parts[0] != s.Root.Name {
-		return nil
-	}
-	cur := s.Root
-	for _, p := range parts[1:] {
-		cur = cur.Child(p)
-		if cur == nil {
-			return nil
-		}
-	}
-	return cur
-}
-
 // InferValueType guesses the simple type of a text value the way the
 // testbed's schema extractor does: integers, decimals, URLs, else string.
 func InferValueType(v string) Type {

@@ -226,22 +226,6 @@ func TestValidateSimpleTypes(t *testing.T) {
 	}
 }
 
-func TestLookup(t *testing.T) {
-	s, err := Infer("umd", xmldom.MustParse(`<umd><Course><Section><Time>10</Time></Section></Course></umd>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := s.Lookup("umd/Course/Section/Time"); d == nil || d.Name != "Time" {
-		t.Errorf("Lookup failed: %+v", d)
-	}
-	if d := s.Lookup("umd/Course/Room"); d != nil {
-		t.Error("Lookup should miss for absent path")
-	}
-	if d := s.Lookup("other/Course"); d != nil {
-		t.Error("Lookup should miss for wrong root")
-	}
-}
-
 func TestInferValueType(t *testing.T) {
 	cases := map[string]Type{
 		"":                      TypeEmpty,

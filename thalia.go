@@ -144,6 +144,10 @@ type FaultPlan = faultline.Plan
 // Resilience is the runner's retry/backoff/circuit-breaker policy. Assign
 // one to Runner.Resilience to evaluate systems under faults without
 // aborting the run: cells that exhaust their retries are marked Degraded.
+// Its settings are the attempt budget (MaxAttempts) and the backoff jitter
+// seed (JitterSeed); backoff runs from 1ms to 8ms, Runner.QueryTimeout
+// bounds each attempt, and each system's circuit breaker opens after 5
+// consecutive failures and probes again after shedding 3 calls.
 type Resilience = benchmark.Resilience
 
 // ParseFaultPlan reads and validates a JSON fault plan.
