@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"thalia/internal/explain"
@@ -19,30 +20,31 @@ import (
 // the evaluation of the remaining cells continues.
 var ErrQueryTimeout = errors.New("benchmark: query evaluation timed out")
 
-// cell is one query×system evaluation unit of work.
-type cell struct {
-	sys      int       // index into the systems slice
-	query    int       // index into r.Queries
-	truth    *truth    // the query's expected answer, shared by its cells
-	enqueued time.Time // when the feeder offered the cell (telemetry only)
-}
-
 // truth is one query's expected answer within one run. The ground-truth
-// rows are the same for every system, so the feeder hands one truth to all
-// of a query's cells: the first to need it computes it, the others share
-// the rows (or the error), and it becomes garbage once the query's last
-// cell is scored. Sharing is safe because integration.MatchRows reads its
-// inputs without mutating them.
+// rows are the same for every system, so all of a query's cells share one
+// truth: the first to need it computes it and the others share the rows
+// (or the error). The cell that scores last drops them, so a run holds the
+// truth of only the queries in flight. Sharing is safe because
+// integration.MatchRows reads its inputs without mutating them.
 type truth struct {
-	once sync.Once
-	rows []integration.Row
-	err  error
+	once   sync.Once
+	rows   []integration.Row
+	err    error
+	scored atomic.Int32 // the query's cells scored so far
 }
 
 // expected returns q's expected rows, computing them on first use.
 func (t *truth) expected(q *Query) ([]integration.Row, error) {
 	t.once.Do(func() { t.rows, t.err = q.Expected() })
 	return t.rows, t.err
+}
+
+// release records one of the query's nsys cells as scored; the last one
+// drops the rows and the error.
+func (t *truth) release(nsys int) {
+	if int(t.scored.Add(1)) == nsys {
+		t.rows, t.err = nil, nil
+	}
 }
 
 // concurrency resolves the runner's worker-pool size: an explicit positive
@@ -87,14 +89,16 @@ func (r *Runner) EvaluateAllContext(ctx context.Context, systems ...integration.
 		}
 	}
 
-	// Under a resilience policy, each system's cells must observe its
-	// circuit breaker in query order — consecutive-failure counting is
-	// order-sensitive, and same-seed runs must see the same breaker
-	// trajectory regardless of worker scheduling. gates is a per-system
-	// ladder: gates[si][qi] opens once cell (si, qi-1) has completed, so a
-	// system's cells run sequentially while systems still run in parallel.
-	// This cannot deadlock: the feeder emits cells query-major on an
-	// unbuffered channel, so whenever a worker holds cell (si, qi) its
+	// Workers claim cells from one counter in query-major order: cell k is
+	// query k/nsys of system k%nsys. Under a resilience policy, each
+	// system's cells must observe its circuit breaker in query order —
+	// consecutive-failure counting is order-sensitive, and same-seed runs
+	// must see the same breaker trajectory regardless of worker scheduling.
+	// gates is a per-system ladder: gates[si][qi] opens once cell (si, qi-1)
+	// has completed, so a system's cells run sequentially while systems
+	// still run in parallel. This cannot deadlock: cell k is claimed only
+	// after every cell before it, and a claimed cell always runs and opens
+	// its successor gate, so whenever a worker holds cell (si, qi) its
 	// predecessor (si, qi-1) is already held (or finished) by another
 	// worker, and the earliest incomplete cell per system is never blocked.
 	var breakers []*faultline.Breaker
@@ -112,11 +116,9 @@ func (r *Runner) EvaluateAllContext(ctx context.Context, systems ...integration.
 		}
 	}
 
-	cells := make(chan cell)
-	workers := r.concurrency()
-	if n := len(systems) * len(r.Queries); workers > n {
-		workers = n
-	}
+	nsys := len(systems)
+	ncells := nsys * len(r.Queries)
+	workers := min(r.concurrency(), ncells)
 	tel := r.Telemetry
 	if tel != nil {
 		tel.Gauge(MetricWorkers).Set(int64(workers))
@@ -144,14 +146,27 @@ func (r *Runner) EvaluateAllContext(ctx context.Context, systems ...integration.
 			defer stopSampler()
 		}
 	}
-	done := make(chan struct{})
+	truths := make([]truth, len(r.Queries))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			defer func() { done <- struct{}{} }()
-			for c := range cells {
+			defer wg.Done()
+			// A cancelled run stops claiming; a claimed cell still runs.
+			for ctx.Err() == nil {
+				k := int(next.Add(1) - 1)
+				if k >= ncells {
+					return
+				}
+				qi, si := k/nsys, k%nsys
+				var claimed time.Time
+				if tel != nil {
+					claimed = time.Now()
+				}
 				if gates != nil {
 					select {
-					case <-gates[c.sys][c.query]:
+					case <-gates[si][qi]:
 					case <-ctx.Done():
 						// The cell still runs (evalCell degrades it to a
 						// ctx-error result) and the successor gate still
@@ -160,16 +175,17 @@ func (r *Runner) EvaluateAllContext(ctx context.Context, systems ...integration.
 				}
 				var br *faultline.Breaker
 				if breakers != nil {
-					br = breakers[c.sys]
+					br = breakers[si]
 				}
+				t := &truths[qi]
 				if tel == nil && jr == nil {
-					cards[c.sys].Results[c.query] = r.evalCell(ctx, systems[c.sys], r.Queries[c.query], c.truth, br)
+					cards[si].Results[qi] = r.evalCell(ctx, systems[si], r.Queries[qi], t, br)
 				} else {
-					sysName := systems[c.sys].Name()
-					queryID := r.Queries[c.query].ID
+					sysName := systems[si].Name()
+					queryID := r.Queries[qi].ID
 					var busy *telemetry.Gauge
 					if tel != nil {
-						tel.Histogram(MetricQueueWait).ObserveDuration(time.Since(c.enqueued))
+						tel.Histogram(MetricQueueWait).ObserveDuration(time.Since(claimed))
 						busy = tel.Gauge(MetricBusyWorkers)
 						busy.Inc()
 					}
@@ -177,45 +193,32 @@ func (r *Runner) EvaluateAllContext(ctx context.Context, systems ...integration.
 						jr.CellStart(sysName, queryID)
 					}
 					start := time.Now()
-					res := r.evalCell(ctx, systems[c.sys], r.Queries[c.query], c.truth, br)
+					res := r.evalCell(ctx, systems[si], r.Queries[qi], t, br)
 					elapsed := time.Since(start)
 					if busy != nil {
 						busy.Dec()
 					}
-					cards[c.sys].Results[c.query] = res
+					cards[si].Results[qi] = res
 					if tel != nil {
-						r.recordCell(sysName, r.Queries[c.query], res, elapsed)
+						r.recordCell(sysName, r.Queries[qi], res, elapsed)
 					}
 					if jr != nil {
 						jr.CellDone(cellEvent(sysName, res, elapsed))
 					}
 				}
+				t.release(nsys)
 				if gates != nil {
-					close(gates[c.sys][c.query+1])
+					close(gates[si][qi+1])
 				}
+				// Workers that never park starve the scheduler: with
+				// GOMAXPROCS 2 the GC has only fractional mark workers,
+				// which get a P only when the scheduler runs. Yield between
+				// cells so collection keeps pace with allocation.
+				runtime.Gosched()
 			}
 		}()
 	}
-
-feed:
-	for qi := range r.Queries {
-		t := &truth{}
-		for si := range systems {
-			c := cell{sys: si, query: qi, truth: t}
-			if tel != nil {
-				c.enqueued = time.Now()
-			}
-			select {
-			case cells <- c:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-	}
-	close(cells)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
+	wg.Wait()
 	if tel != nil && breakers != nil {
 		for i, br := range breakers {
 			sys := telemetry.L("system", systems[i].Name())

@@ -6,12 +6,16 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"thalia/internal/cohera"
+	"thalia/internal/hetero"
 	"thalia/internal/integration"
 	"thalia/internal/iwiz"
 	"thalia/internal/journal"
@@ -220,6 +224,104 @@ func TestTruthComputedOncePerQuery(t *testing.T) {
 				t.Errorf("pool %d: q%d truth computed %d times, want once", pool, q.ID, calls[q.ID])
 			}
 		}
+	}
+}
+
+// TestTruthReleasedAfterLastCell pins the streaming contract: a query's
+// truth rows become garbage once its last cell is scored, so a run holds
+// the truth of only the queries in flight. At pool 1 cells run in claim
+// order, query-major, so when the first cell of query q answers, every
+// cell of query q-1 is scored and its rows must be collectable.
+func TestTruthReleasedAfterLastCell(t *testing.T) {
+	const nq = 6
+	var freed [nq + 1]atomic.Bool // by query ID: the truth rows were collected
+	var queries []*Query
+	for id := 1; id <= nq; id++ {
+		queries = append(queries, NewQuery(id, hetero.Synonyms, "synthetic", "", "", "", nil,
+			func() ([]integration.Row, error) {
+				rows := []integration.Row{{"course": strconv.Itoa(id)}}
+				runtime.SetFinalizer(&rows[0], func(*integration.Row) { freed[id].Store(true) })
+				return rows, nil
+			}))
+	}
+	// collected reports whether query id's rows were collected, running
+	// the collector until their finalizer has run or a second has passed.
+	collected := func(id int) bool {
+		for deadline := time.Now().Add(time.Second); !freed[id].Load(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				return false
+			}
+			runtime.GC()
+		}
+		return true
+	}
+	var leaked []int
+	systems := make([]integration.System, 3)
+	for i := range systems {
+		systems[i] = &fakeSystem{name: fmt.Sprintf("sys%d", i), fn: func(req integration.Request) (*integration.Answer, error) {
+			if i == 0 && req.QueryID > 1 && !collected(req.QueryID-1) {
+				leaked = append(leaked, req.QueryID-1)
+			}
+			return &integration.Answer{Rows: []integration.Row{{"course": strconv.Itoa(req.QueryID)}}}, nil
+		}}
+	}
+	r := &Runner{Queries: queries, Concurrency: 1}
+	cards, err := r.EvaluateAll(systems...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(leaked) > 0 {
+		t.Errorf("the truth of queries %v outlived their last scored cell", leaked)
+	}
+	for _, c := range cards {
+		if c.CorrectCount() != nq {
+			t.Errorf("%s scored %d/%d", c.System, c.CorrectCount(), nq)
+		}
+	}
+}
+
+// TestResilientCancelDrains cancels a run mid-way under the default
+// resilience policy at pool 8: the claim loop and the breaker gate ladder
+// must return ctx.Err() without deadlock, and every goroutine the run
+// started must exit.
+func TestResilientCancelDrains(t *testing.T) {
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls atomic.Int32
+	systems := make([]integration.System, 3)
+	for i := range systems {
+		systems[i] = &fakeSystem{name: fmt.Sprintf("sys%d", i), fn: func(req integration.Request) (*integration.Answer, error) {
+			if calls.Add(1) == 20 {
+				cancel()
+			}
+			time.Sleep(100 * time.Microsecond)
+			if (req.QueryID+i)%3 == 0 {
+				return nil, &transientErr{"flaky"}
+			}
+			return &integration.Answer{}, nil
+		}}
+	}
+	r := &Runner{Queries: Queries(), Concurrency: 8, Resilience: DefaultResilience(7)}
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.EvaluateAllContext(ctx, systems...)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a cancelled resilient run did not return")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -11,9 +11,11 @@ import (
 
 // Engine metric names, as they appear in snapshots and /metrics.
 const (
-	// MetricQueueWait is the histogram of per-cell queue wait: the time
-	// between a query×system cell being offered to the pool and a worker
-	// picking it up. No labels — it measures the pool, not the workload.
+	// MetricQueueWait is the histogram of per-cell wait: the time from a
+	// worker claiming a query×system cell to the start of its evaluation.
+	// Under a resilience policy that is the breaker-gate wait for the
+	// system's previous cell; otherwise it is near zero. No labels — it
+	// measures the pool, not the workload.
 	MetricQueueWait = "engine_queue_wait_seconds"
 	// MetricEvalLatency is the histogram of per-cell evaluation latency,
 	// labeled by system and by the query's heterogeneity class (q01..q12;
@@ -57,9 +59,9 @@ func (r *Runner) recordCell(system string, q *Query, res QueryResult, d time.Dur
 
 // FormatEngineMetrics renders an engine metrics snapshot as the text block
 // `thalia bench --telemetry` prints: per-query p95 evaluation latency by
-// system, queue-wait quantiles, and error/timeout totals, plus, when the
-// run injected faults or the resilience policy acted, the totals of
-// injected faults, retries, shed attempts and degraded cells.
+// system, queue-wait (claim to start) quantiles, and error/timeout totals,
+// plus, when the run injected faults or the resilience policy acted, the
+// totals of injected faults, retries, shed attempts and degraded cells.
 func FormatEngineMetrics(snap *telemetry.Snapshot) string {
 	var b strings.Builder
 	b.WriteString("Engine telemetry\n\n")
@@ -75,7 +77,7 @@ func FormatEngineMetrics(snap *telemetry.Snapshot) string {
 	}
 	for _, h := range snap.Histograms {
 		if h.Name == MetricQueueWait {
-			fmt.Fprintf(&b, "\nQueue wait: p50 %.3fms  p95 %.3fms  p99 %.3fms over %d cells\n",
+			fmt.Fprintf(&b, "\nQueue wait (claim to start): p50 %.3fms  p95 %.3fms  p99 %.3fms over %d cells\n",
 				h.P50*1000, h.P95*1000, h.P99*1000, h.Count)
 		}
 	}

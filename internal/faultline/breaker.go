@@ -49,9 +49,8 @@ type Breaker struct {
 }
 
 // NewBreaker returns a closed breaker that opens after threshold
-// consecutive failures and half-opens after shedding cooldown calls.
-// threshold <= 0 disables the breaker (Allow always true); cooldown <= 0
-// means the first shed call already half-opens.
+// consecutive failures and half-opens after shedding cooldown calls;
+// cooldown <= 0 means the first shed call already half-opens.
 func NewBreaker(threshold, cooldown int) *Breaker {
 	return &Breaker{threshold: threshold, cooldown: cooldown}
 }
@@ -61,9 +60,6 @@ func NewBreaker(threshold, cooldown int) *Breaker {
 // admits one probe. While half-open, only the single probe is in flight —
 // further calls are shed until Record decides the probe's outcome.
 func (b *Breaker) Allow() bool {
-	if b == nil || b.threshold <= 0 {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -90,9 +86,6 @@ func (b *Breaker) Allow() bool {
 // and resets the failure streak; a failure re-opens a half-open breaker or
 // extends the streak, opening the breaker at the threshold.
 func (b *Breaker) Record(ok bool) {
-	if b == nil || b.threshold <= 0 {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if ok {
@@ -123,9 +116,6 @@ func (b *Breaker) open() {
 
 // State returns the breaker's current position.
 func (b *Breaker) State() BreakerState {
-	if b == nil {
-		return BreakerClosed
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
@@ -133,9 +123,6 @@ func (b *Breaker) State() BreakerState {
 
 // Opens returns how many times the breaker has tripped open.
 func (b *Breaker) Opens() int64 {
-	if b == nil {
-		return 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.opens

@@ -10,8 +10,11 @@ import (
 
 	"thalia/internal/benchmark"
 	"thalia/internal/faultline"
+	"thalia/internal/hetero"
 	"thalia/internal/telemetry"
 	"thalia/internal/xmldom"
+	"thalia/internal/xquery"
+	"thalia/internal/xquery/plan"
 )
 
 // streamHeapCeiling is the live-heap growth budget for the 5000-source
@@ -113,6 +116,35 @@ func TestStreamingDigestPinned(t *testing.T) {
 			if got := benchmark.ScorecardDigest(cards); got != want {
 				t.Errorf("pool %d, poison %v: scorecard digest %s, want %s", pool, poison, got, want)
 			}
+		}
+	}
+}
+
+// compileAllocBudget caps the allocations of compiling one generated
+// challenge query, the plan each streaming cell compiles once: 23 to 37
+// with the plan dump rendered only when Dump asks for it, 49 to 78 when
+// every Compile rendered it.
+const compileAllocBudget = 40
+
+// TestCompileAllocationBudget pins plan.Compile's allocations for the
+// challenge query of each of the twelve families.
+func TestCompileAllocationBudget(t *testing.T) {
+	for _, c := range hetero.AllCases() {
+		sc, err := New(Params{Sources: 1, Seed: 7, Mix: Mix{c: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := xquery.Parse(sc.Spec(0).ChallengeXQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := plan.Compile(e); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > compileAllocBudget {
+			t.Errorf("case %d: %.0f allocations per Compile, budget %d", int(c), allocs, compileAllocBudget)
 		}
 	}
 }

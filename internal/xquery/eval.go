@@ -324,27 +324,24 @@ func atomicCompare(op string, a, b Item) bool {
 func isLikePattern(s string) bool { return strings.Contains(s, "%") }
 
 // likeMatch evaluates a SQL LIKE pattern (with % wildcards only, which is
-// all the benchmark uses) against a value, case-sensitively.
+// all the benchmark uses) against a value, case-sensitively. The segments
+// between wildcards must occur in order; with no leading % the first is
+// anchored at the start, and with no trailing % the last must be a suffix.
 func likeMatch(pattern, value string) bool {
-	parts := strings.Split(pattern, "%")
-	pos := 0
-	for i, part := range parts {
-		if part == "" {
-			continue
-		}
-		idx := strings.Index(value[pos:], part)
+	seg, rest, more := strings.Cut(pattern, "%")
+	if !strings.HasPrefix(value, seg) {
+		return false
+	}
+	pos := len(seg)
+	for more {
+		seg, rest, more = strings.Cut(rest, "%")
+		idx := strings.Index(value[pos:], seg)
 		if idx < 0 {
 			return false
 		}
-		if i == 0 && idx != 0 {
-			return false // no leading % means anchored prefix
-		}
-		pos += idx + len(part)
+		pos += idx + len(seg)
 	}
-	if last := parts[len(parts)-1]; last != "" && !strings.HasSuffix(value, last) {
-		return false
-	}
-	return true
+	return strings.HasSuffix(value, seg)
 }
 
 func arith(op string, l, r Sequence) (Sequence, error) {
@@ -800,6 +797,11 @@ func itemNumber(item Item) (float64, bool) {
 		return 0, true
 	default:
 		s := strings.TrimSpace(ItemString(item))
+		// Most strings compared with = are not numbers: skip the parse, and
+		// the *strconv.NumError it allocates, when s cannot start a float.
+		if s == "" || strings.IndexByte(floatStart, s[0]) < 0 {
+			return 0, false
+		}
 		n, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			return 0, false
@@ -807,6 +809,11 @@ func itemNumber(item Item) (float64, bool) {
 		return n, true
 	}
 }
+
+// floatStart holds every byte that can begin a string strconv.ParseFloat
+// accepts: a digit, a sign, a decimal point, or the first letter of "inf",
+// "infinity" or "nan" in either case.
+const floatStart = "0123456789+-.iInN"
 
 // formatNumber renders a float like XQuery renders xs:decimal: integers
 // without a decimal point.

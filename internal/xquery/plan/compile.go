@@ -18,11 +18,12 @@ import (
 // fall back to Context.Var at runtime (free variables), or, for ".", to the
 // interpreter's "relative path with no context item" error.
 //
-// Alongside the closures the compiler renders the plan as an indented
-// textual tree (Plan.Dump) used by the golden plan tests.
+// With dump set, the compiler also renders the plan as an indented textual
+// tree (Plan.Dump) used by the golden plan tests.
 type compiler struct {
 	nSlots int
 	scope  []scopeEntry
+	dump   bool
 	lines  []string
 	depth  int
 }
@@ -55,14 +56,12 @@ func (c *compiler) resolve(name string) (int, bool) {
 	return 0, false
 }
 
-// emit appends one dump line at the current nesting depth.
+// emit appends one dump line at the current nesting depth, when dumping.
 func (c *compiler) emit(format string, args ...any) {
+	if !c.dump {
+		return
+	}
 	c.lines = append(c.lines, strings.Repeat("  ", c.depth)+fmt.Sprintf(format, args...))
-}
-
-// render joins the dump lines collected during compilation.
-func (c *compiler) render() string {
-	return strings.Join(c.lines, "\n") + "\n"
 }
 
 // compile dispatches on the AST node kind. The thalia-vet plancoverage

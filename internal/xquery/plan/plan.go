@@ -16,6 +16,7 @@ package plan
 
 import (
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -29,15 +30,20 @@ import (
 type Plan struct {
 	root   compiled
 	nSlots int
-	dump   string
+	// expr is the compiled expression. Dump compiles it again with the
+	// dump on, so Compile itself renders no text.
+	expr xquery.Expr
 	// evals counts evaluations; surfaced as the "evals" attr of the
 	// explain plan span so traces show plan reuse.
 	evals atomic.Int64
-	// rts recycles per-evaluation runtimes (and their slot arrays, sized
-	// for this plan) across Eval calls — the hot loop's dominant allocation
-	// before pooling, per bench --profile heap output.
-	rts sync.Pool
 }
+
+// runtimes recycles per-evaluation runtimes across Eval calls of every
+// plan — the hot loop's dominant allocation before pooling, per bench
+// --profile heap output. One pool serves all plans, so a one-shot plan
+// registers no pool of its own; a runtime's slot slice is resliced to each
+// plan's slot count, growing when it is too short.
+var runtimes = sync.Pool{New: func() any { return new(runtime) }}
 
 // CompileQuery parses src and compiles it in one step. Parse failures are
 // returned unchanged (*xquery.ParseError), so callers see exactly the
@@ -57,7 +63,7 @@ func Compile(e xquery.Expr) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{root: root, nSlots: c.nSlots, dump: c.render()}, nil
+	return &Plan{root: root, nSlots: c.nSlots, expr: e}, nil
 }
 
 // Eval runs the plan against ctx. When ctx.Explain is set, the evaluation
@@ -69,13 +75,11 @@ func Compile(e xquery.Expr) (*Plan, error) {
 // items out of slots into fresh output sequences), so recycling is
 // invisible to callers and safe under concurrent Eval.
 func (p *Plan) Eval(ctx *xquery.Context) (xquery.Sequence, error) {
-	rt, _ := p.rts.Get().(*runtime)
-	if rt == nil {
-		rt = &runtime{}
-		if p.nSlots > 0 {
-			rt.slots = make([]xquery.Sequence, p.nSlots)
-		}
+	rt := runtimes.Get().(*runtime)
+	if cap(rt.slots) < p.nSlots {
+		rt.slots = make([]xquery.Sequence, p.nSlots)
 	}
+	rt.slots = rt.slots[:p.nSlots]
 	rt.ctx, rt.rec = ctx, ctx.Explain
 	n := p.evals.Add(1)
 	if rt.rec != nil {
@@ -86,17 +90,20 @@ func (p *Plan) Eval(ctx *xquery.Context) (xquery.Sequence, error) {
 	}
 	out, err := p.root(rt)
 	rt.ctx, rt.rec = nil, nil
-	for i := range rt.slots {
-		rt.slots[i] = nil
-	}
-	p.rts.Put(rt)
+	clear(rt.slots)
+	runtimes.Put(rt)
 	return out, err
 }
 
 // Dump renders the compiled plan as an indented textual tree — the format
 // committed as golden files under testdata/plan/ so plan-shape regressions
 // show up as readable diffs.
-func (p *Plan) Dump() string { return p.dump }
+func (p *Plan) Dump() string {
+	c := &compiler{dump: true}
+	// Compile succeeded on p.expr, so compiling it again cannot fail.
+	_, _ = c.compile(p.expr)
+	return strings.Join(c.lines, "\n") + "\n"
+}
 
 // runtime is the per-evaluation state threaded through compiled closures.
 type runtime struct {

@@ -3,6 +3,8 @@ package xquery
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -530,6 +532,54 @@ func TestQuickLikeIdentity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// likeMatch anchors a pattern's first segment at the start unless the
+// pattern opens with %, and its last at the end unless it closes with %;
+// empty segments match anywhere. It allocates nothing.
+func TestLikeMatch(t *testing.T) {
+	for _, tc := range []struct {
+		pattern, value string
+		want           bool
+	}{
+		{"", "a", true},
+		{"%", "a", true},
+		{"%%", "a", true},
+		{"a%", "a", true},
+		{"%a", "a", true},
+		{"a%b%c", "a", false},
+		{"a%a", "a", false},
+		{"a%b%c", "axbyc", true},
+		{"a%b%c", "acb", false},
+		{"a%a", "aba", true},
+		{"%JR%", "CS JR 101", true},
+		{"Database", "Database", true},
+		{"Database", "Databases", false},
+		{"Database", "A Database", false},
+	} {
+		if got := likeMatch(tc.pattern, tc.value); got != tc.want {
+			t.Errorf("likeMatch(%q, %q) = %v, want %v", tc.pattern, tc.value, got, tc.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { likeMatch("%Data%base%", "Introduction to Database Systems") }); n != 0 {
+		t.Errorf("likeMatch allocates %.0f times per call, want 0", n)
+	}
+}
+
+// itemNumber reads a string as strconv.ParseFloat does after trimming
+// space, and skips the parse, allocating nothing, for a string that cannot
+// start a float.
+func TestItemNumberMatchesParseFloat(t *testing.T) {
+	for _, s := range []string{" 12 ", "+.5", "Inf", "-infinity", "NaN", "0x1p-2", "1_000", "CS101", ""} {
+		got, ok := itemNumber(s)
+		want, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		if ok != (err == nil) || ok && got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Errorf("itemNumber(%q) = %v, %v; ParseFloat gives %v, %v", s, got, ok, want, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { itemNumber("CS101") }); n != 0 {
+		t.Errorf("itemNumber of a non-numeric string allocates %.0f times, want 0", n)
 	}
 }
 
