@@ -1,8 +1,7 @@
-// Command thalia-bench runs the chaos regression harness, replays run
-// journals, and times the XQuery engines against each other.
+// Command thalia-bench runs the chaos regression harness and replays run
+// journals.
 //
 //	thalia-bench chaos   [-out BENCH_chaos.json] [-runs 3] [-pool N] [-seed 1]
-//	thalia-bench plan    [-runs 200]
 //	thalia-bench report  [-json] [-require-complete] <journal.jsonl>
 //	thalia-bench compare -baseline BENCH_chaos.json -fresh fresh.json
 //	                     [-tolerance 0.30] [-slowdown 1.0]
@@ -20,9 +19,7 @@
 // report replays a run journal (internal/journal), such as one that
 // `thalia bench --journal-dir` writes, into the run summary, and checks
 // that the replay reproduces the digest the journal's run-end event
-// recorded. plan reports per-query ns/op for the compiled-plan engine, the
-// default execution path, against the reference interpreter, checking
-// result equality as it goes.
+// recorded.
 package main
 
 import (
@@ -33,19 +30,15 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"time"
 
 	"thalia/internal/benchmark"
 	"thalia/internal/buildinfo"
-	"thalia/internal/catalog"
 	"thalia/internal/cohera"
 	"thalia/internal/integration"
 	"thalia/internal/iwiz"
 	"thalia/internal/journal"
 	"thalia/internal/rewrite"
 	"thalia/internal/ufmw"
-	"thalia/internal/xquery"
-	"thalia/internal/xquery/plan"
 )
 
 func main() {
@@ -57,14 +50,12 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("need a subcommand: chaos | plan | report | compare")
+		return fmt.Errorf("need a subcommand: chaos | report | compare")
 	}
 	var cmd func([]string, io.Writer) error
 	switch args[0] {
 	case "chaos":
 		cmd = chaosCmd
-	case "plan":
-		cmd = planCmd
 	case "report":
 		cmd = reportCmd
 	case "compare":
@@ -73,7 +64,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out, buildinfo.String("thalia-bench"))
 		return nil
 	default:
-		return fmt.Errorf("unknown subcommand %q (chaos | plan | report | compare)", args[0])
+		return fmt.Errorf("unknown subcommand %q (chaos | report | compare)", args[0])
 	}
 	// -h prints the subcommand's usage; asking for help is not a failure.
 	if err := cmd(args[1:], out); !errors.Is(err, flag.ErrHelp) {
@@ -149,69 +140,6 @@ func reportCmd(args []string, out io.Writer) error {
 		return nil
 	}
 	fmt.Fprint(out, p.Report())
-	return nil
-}
-
-// planCmd reports per-query compiled-plan vs reference-interpreter timings
-// over the benchmark queries, evaluated against the extracted catalogs. The
-// compiled plan is the default execution path, so its result is the ground
-// truth here too: each query is compiled once and re-evaluated -runs
-// times, and the interpreter (the -engine=interp escape hatch) is checked
-// against the plan's answer before timing, so the report cannot quietly
-// compare different answers.
-func planCmd(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("plan", flag.ContinueOnError)
-	runs := fs.Int("runs", 200, "evaluations per engine per query")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *runs < 1 {
-		*runs = 1
-	}
-	resolve := catalog.Resolver()
-	fmt.Fprintf(out, "%-5s %14s %14s %8s\n", "query", "interp ns/op", "plan ns/op", "ratio")
-	var totalI, totalP int64
-	for _, q := range benchmark.Queries() {
-		expr, err := xquery.Parse(q.XQuery)
-		if err != nil {
-			return fmt.Errorf("q%02d: parse: %w", q.ID, err)
-		}
-		p, err := plan.CompileQuery(q.XQuery)
-		if err != nil {
-			return fmt.Errorf("q%02d: compile: %w", q.ID, err)
-		}
-		ctx := xquery.NewContext(resolve)
-		got, gerr := p.Eval(ctx)
-		want, werr := xquery.Eval(expr, ctx)
-		if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
-			return fmt.Errorf("q%02d: engines disagree: plan %v vs interpreter %v", q.ID, gerr, werr)
-		}
-		if gerr == nil && xquery.SequenceString(got) != xquery.SequenceString(want) {
-			return fmt.Errorf("q%02d: interpreter disagrees with the plan result", q.ID)
-		}
-		start := time.Now()
-		for i := 0; i < *runs; i++ {
-			_, _ = xquery.Eval(expr, ctx)
-		}
-		interp := time.Since(start).Nanoseconds() / int64(*runs)
-		start = time.Now()
-		for i := 0; i < *runs; i++ {
-			_, _ = p.Eval(ctx)
-		}
-		planNs := time.Since(start).Nanoseconds() / int64(*runs)
-		totalI += interp
-		totalP += planNs
-		ratio := 0.0
-		if planNs > 0 {
-			ratio = float64(interp) / float64(planNs)
-		}
-		fmt.Fprintf(out, "q%02d   %14d %14d %7.2fx\n", q.ID, interp, planNs, ratio)
-	}
-	ratio := 0.0
-	if totalP > 0 {
-		ratio = float64(totalI) / float64(totalP)
-	}
-	fmt.Fprintf(out, "total %14d %14d %7.2fx\n", totalI, totalP, ratio)
 	return nil
 }
 

@@ -35,20 +35,6 @@ func TestChaosCmdAndCompare(t *testing.T) {
 	}
 }
 
-// plan prints one interpreter-vs-plan row per benchmark query plus a total,
-// and errors out (rather than reporting) if the engines ever disagree.
-func TestPlanCmdReportsAllQueries(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"plan", "-runs", "2"}, &out); err != nil {
-		t.Fatalf("plan: %v\n%s", err, out.String())
-	}
-	for _, want := range []string{"q01", "q12", "total", "plan ns/op"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("plan report missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
 // compare refuses to judge two artifacts of different suites, and any
 // suite but chaos.
 func TestCompareSuiteMismatch(t *testing.T) {
@@ -74,7 +60,7 @@ func TestCompareSuiteMismatch(t *testing.T) {
 
 // -h prints a subcommand's usage and is not a failure.
 func TestSubcommandHelpSucceeds(t *testing.T) {
-	for _, sub := range []string{"chaos", "plan", "report", "compare"} {
+	for _, sub := range []string{"chaos", "report", "compare"} {
 		var out strings.Builder
 		if err := run([]string{sub, "-h"}, &out); err != nil {
 			t.Errorf("%s -h: %v", sub, err)

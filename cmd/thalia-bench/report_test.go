@@ -78,7 +78,7 @@ func TestReportRejectsBadJournals(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &journal.Recorder{W: w, RunID: "partial", Harness: "test"}
-	rec.RunStart([]string{"x"}, 12, 1, false)
+	rec.RunStart([]string{"x"}, 12, 1, false, 0)
 	rec.CellStart("x", 1)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

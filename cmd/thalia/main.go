@@ -375,9 +375,6 @@ func bench(args []string) error {
 		}
 		defer w.Close()
 		rec := &journal.Recorder{W: w, RunID: id, Harness: "thalia bench"}
-		if runner.Resilience != nil {
-			rec.Seed = seed
-		}
 		if plan != nil {
 			rec.FaultPlanDigest = plan.Digest()
 		}

@@ -1,17 +1,14 @@
 // Command xq runs the XQuery-subset processor standalone. Queries may
 // reference XML files on disk through doc("path.xml"); with -testbed,
 // doc() URIs resolve against the built-in THALIA testbed instead
-// (doc("cmu.xml") is CMU's extracted catalog).
-//
-// Queries run on the compiled-plan engine by default; -engine=interp
-// selects the reference tree-walking interpreter (the differential escape
-// hatch — both engines produce identical results and errors).
+// (doc("cmu.xml") is CMU's extracted catalog). Queries run as compiled
+// plans.
 //
 // Usage:
 //
 //	xq 'FOR $b in doc("data.xml")/root/item RETURN $b'
 //	xq -testbed 'FOR $b in doc("cmu.xml")/cmu/Course RETURN $b/Lecturer'
-//	xq -engine=interp -f query.xq
+//	xq -explain -f query.xq
 package main
 
 import (
@@ -33,16 +30,15 @@ func main() {
 	testbed := flag.Bool("testbed", false, "resolve doc() URIs against the built-in testbed")
 	xmlOut := flag.Bool("xml", false, "print element results as XML instead of text values")
 	explainTrace := flag.Bool("explain", false, "print an operator trace of the evaluation to stderr")
-	engine := flag.String("engine", plan.EnginePlan, "execution engine: plan (compiled, default) or interp (reference interpreter)")
 	flag.Parse()
 
-	if err := run(*file, *testbed, *xmlOut, *explainTrace, *engine, flag.Args()); err != nil {
+	if err := run(*file, *testbed, *xmlOut, *explainTrace, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "xq:", err)
 		os.Exit(1)
 	}
 }
 
-func run(file string, testbed, xmlOut, explainTrace bool, engine string, args []string) error {
+func run(file string, testbed, xmlOut, explainTrace bool, args []string) error {
 	var query string
 	switch {
 	case file != "":
@@ -70,16 +66,12 @@ func run(file string, testbed, xmlOut, explainTrace bool, engine string, args []
 			return xmldom.Parse(f)
 		})
 	}
-	eval, err := plan.EngineByName(engine)
-	if err != nil {
-		return err
-	}
 	var rec *explain.Recorder
 	if explainTrace {
 		rec = explain.NewRecorder()
 		ctx.Explain = rec
 	}
-	seq, err := eval(query, ctx)
+	seq, err := plan.EvalQuery(query, ctx)
 	if rec != nil {
 		fmt.Fprint(os.Stderr, rec.Trace().Text())
 	}

@@ -8,10 +8,10 @@ import (
 
 func TestTestbedQuery(t *testing.T) {
 	q := `FOR $b in doc("gatech.xml")/gatech/Course WHERE $b/Instructor = "Mark" RETURN $b/Title`
-	if err := run("", true, false, false, "plan", []string{q}); err != nil {
+	if err := run("", true, false, false, []string{q}); err != nil {
 		t.Errorf("testbed query: %v", err)
 	}
-	if err := run("", true, true, false, "plan", []string{`doc("cmu.xml")/cmu/Course[1]`}); err != nil {
+	if err := run("", true, true, false, []string{`doc("cmu.xml")/cmu/Course[1]`}); err != nil {
 		t.Errorf("xml output: %v", err)
 	}
 }
@@ -21,11 +21,11 @@ func TestTestbedQuery(t *testing.T) {
 // stdout results are unchanged.
 func TestExplainFlag(t *testing.T) {
 	q := `FOR $b in doc("gatech.xml")/gatech/Course WHERE $b/Instructor = "Mark" RETURN $b/Title`
-	if err := run("", true, false, true, "plan", []string{q}); err != nil {
+	if err := run("", true, false, true, []string{q}); err != nil {
 		t.Errorf("explain query: %v", err)
 	}
 	// A failing query still prints its partial trace before the error.
-	if err := run("", true, false, true, "plan", []string{`doc("ghost.xml")/r`}); err == nil {
+	if err := run("", true, false, true, []string{`doc("ghost.xml")/r`}); err == nil {
 		t.Error("missing testbed document should error with -explain too")
 	}
 }
@@ -38,7 +38,7 @@ func TestFileQuery(t *testing.T) {
 	}
 	// doc() resolves against the filesystem without -testbed.
 	q := `FOR $x in doc("` + dataPath + `")/r/v RETURN $x`
-	if err := run("", false, false, false, "plan", []string{q}); err != nil {
+	if err := run("", false, false, false, []string{q}); err != nil {
 		t.Errorf("file query: %v", err)
 	}
 	// Query from a file via -f.
@@ -46,37 +46,22 @@ func TestFileQuery(t *testing.T) {
 	if err := os.WriteFile(qPath, []byte(q), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(qPath, false, false, false, "plan", nil); err != nil {
+	if err := run(qPath, false, false, false, nil); err != nil {
 		t.Errorf("-f query: %v", err)
 	}
 }
 
 func TestErrors(t *testing.T) {
-	if err := run("", false, false, false, "plan", nil); err == nil {
+	if err := run("", false, false, false, nil); err == nil {
 		t.Error("no query should error")
 	}
-	if err := run("/nonexistent.xq", false, false, false, "plan", nil); err == nil {
+	if err := run("/nonexistent.xq", false, false, false, nil); err == nil {
 		t.Error("missing query file should error")
 	}
-	if err := run("", true, false, false, "plan", []string{"FOR $b in"}); err == nil {
+	if err := run("", true, false, false, []string{"FOR $b in"}); err == nil {
 		t.Error("syntax error should surface")
 	}
-	if err := run("", false, false, false, "plan", []string{`doc("missing.xml")/r`}); err == nil {
+	if err := run("", false, false, false, []string{`doc("missing.xml")/r`}); err == nil {
 		t.Error("missing document should error")
-	}
-}
-
-// The -engine flag selects the execution path: plan (the compiled default)
-// and interp (the reference interpreter) both answer the same query, and an
-// unknown engine name fails with a usage error.
-func TestEngineFlag(t *testing.T) {
-	q := `FOR $b in doc("gatech.xml")/gatech/Course WHERE $b/Instructor = "Mark" RETURN $b/Title`
-	for _, engine := range []string{"plan", "interp"} {
-		if err := run("", true, false, false, engine, []string{q}); err != nil {
-			t.Errorf("-engine=%s: %v", engine, err)
-		}
-	}
-	if err := run("", true, false, false, "turbo", []string{q}); err == nil {
-		t.Error("unknown engine name should error")
 	}
 }

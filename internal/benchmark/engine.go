@@ -134,7 +134,11 @@ func (r *Runner) EvaluateAllContext(ctx context.Context, systems ...integration.
 		for i, sys := range systems {
 			names[i] = sys.Name()
 		}
-		jr.RunStart(names, len(r.Queries), workers, r.Resilience != nil)
+		var seed int64
+		if r.Resilience != nil {
+			seed = r.Resilience.JitterSeed
+		}
+		jr.RunStart(names, len(r.Queries), workers, r.Resilience != nil, seed)
 		runStarted = time.Now()
 		if tel != nil {
 			var once sync.Once
@@ -185,7 +189,7 @@ func (r *Runner) EvaluateAllContext(ctx context.Context, systems ...integration.
 					queryID := r.Queries[qi].ID
 					var busy *telemetry.Gauge
 					if tel != nil {
-						tel.Histogram(MetricQueueWait).ObserveDuration(time.Since(claimed))
+						tel.HistogramBuckets(MetricQueueWait, queueWaitBuckets).ObserveDuration(time.Since(claimed))
 						busy = tel.Gauge(MetricBusyWorkers)
 						busy.Inc()
 					}

@@ -58,7 +58,6 @@ func TestJournalCapturesChaosRun(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	r := recordingRunner(&buf, 4, DefaultResilience(3))
-	r.Journal.Seed = 3
 	r.Journal.FaultPlanDigest = plan.Digest()
 	if _, err := r.EvaluateAll(wrapped...); err != nil {
 		t.Fatal(err)

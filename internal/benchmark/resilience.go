@@ -222,40 +222,27 @@ func sleep(ctx context.Context, d time.Duration) bool {
 func FormatChaos(cards []*Scorecard) string {
 	var b strings.Builder
 	b.WriteString("Chaos resilience — per-cell attempt histories\n")
-	for _, c := range cards {
+	for _, c := range JournalCards(cards) {
 		degraded := 0
-		for _, r := range c.Results {
-			if r.Degraded {
+		for _, cell := range c.Cells {
+			if cell.Degraded {
 				degraded++
 			}
 		}
 		fmt.Fprintf(&b, "\n%s (%d degraded)\n", c.System, degraded)
-		for _, r := range c.Results {
+		for _, cell := range c.Cells {
 			status := "ok"
 			switch {
-			case r.Degraded:
+			case cell.Degraded:
 				status = "DEGRADED"
-			case !r.Supported && r.Err == "":
+			case !cell.Supported && cell.Err == "":
 				status = "declined"
-			case !r.Correct && r.Supported:
+			case !cell.Correct && cell.Supported:
 				status = "incorrect"
 			}
-			fmt.Fprintf(&b, "  q%02d: %-9s %d attempt(s)\n", r.QueryID, status, len(r.Attempts))
-			for _, a := range r.Attempts {
-				switch {
-				case a.Shed:
-					fmt.Fprintf(&b, "    attempt %d: shed (breaker open)", a.N)
-				case a.Err == "":
-					fmt.Fprintf(&b, "    attempt %d: ok", a.N)
-				case a.Transient:
-					fmt.Fprintf(&b, "    attempt %d: transient error: %s", a.N, a.Err)
-				default:
-					fmt.Fprintf(&b, "    attempt %d: permanent error: %s", a.N, a.Err)
-				}
-				if a.Backoff > 0 {
-					fmt.Fprintf(&b, "  (retry in %s)", a.Backoff)
-				}
-				b.WriteString("\n")
+			fmt.Fprintf(&b, "  q%02d: %-9s %d attempt(s)\n", cell.Query, status, len(cell.Attempts))
+			for _, a := range cell.Attempts {
+				fmt.Fprintf(&b, "    attempt %d: %s\n", a.N, a.Outcome())
 			}
 		}
 	}

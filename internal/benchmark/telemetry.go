@@ -37,6 +37,13 @@ const (
 	MetricWorkers     = "engine_workers"
 )
 
+// queueWaitBuckets are MetricQueueWait's bounds: DefaultBuckets, which
+// start at 100 µs, under a ladder from 1 µs. Without a resilience policy a
+// claimed cell starts within microseconds, and quantiles interpolate inside
+// the lowest bucket, so on DefaultBuckets alone every such run reads a p50
+// of 50 µs whatever its waits were.
+var queueWaitBuckets = append([]float64{1e-6, 2.5e-6, 5e-6, 10e-6, 25e-6, 50e-6}, telemetry.DefaultBuckets...)
+
 // QueryLabel renders a heterogeneity class number the way engine metrics
 // label queries: q01..q12.
 func QueryLabel(id int) string { return fmt.Sprintf("q%02d", id) }

@@ -3,6 +3,7 @@ package benchmark
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -80,6 +81,36 @@ func TestRunnerTelemetry(t *testing.T) {
 	}
 	if strings.Contains(out, "Faults injected") {
 		t.Errorf("a run without faults printed a fault line:\n%s", out)
+	}
+}
+
+// Without a resilience policy a claimed cell starts within microseconds,
+// and the queue-wait histogram resolves that: its lowest bound is at most
+// 1 µs and its median reads under 25 µs. On buckets that start at 100 µs,
+// every such run would read a median of exactly 50 µs.
+func TestQueueWaitResolvesMicroseconds(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	r := &Runner{Queries: Queries(), Concurrency: 2, Telemetry: reg}
+	if _, err := r.EvaluateAll(allSystems()...); err != nil {
+		t.Fatal(err)
+	}
+	var prom strings.Builder
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	// Buckets are exposed in ascending order, so the first is the lowest.
+	_, rest, ok := strings.Cut(prom.String(), MetricQueueWait+`_bucket{le="`)
+	if !ok {
+		t.Fatalf("no %s buckets exposed:\n%s", MetricQueueWait, prom.String())
+	}
+	le, _, _ := strings.Cut(rest, `"`)
+	if lowest, err := strconv.ParseFloat(le, 64); err != nil || lowest > 1e-6 {
+		t.Errorf("lowest queue-wait bound %q, want at most 1e-06 s", le)
+	}
+	for _, h := range reg.Snapshot().Histograms {
+		if h.Name == MetricQueueWait && h.P50 >= 25e-6 {
+			t.Errorf("queue-wait p50 = %.1f µs over %d cells, want under 25 µs", h.P50*1e6, h.Count)
+		}
 	}
 }
 

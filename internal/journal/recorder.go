@@ -9,25 +9,24 @@ import (
 )
 
 // Recorder binds a Writer to the run-level metadata the engine itself
-// cannot know — the harness name, the chaos seed, the fault-plan digest —
-// and offers typed append methods for each event. The benchmark runner
-// holds a *Recorder as its opt-in journal sink: a nil Recorder means no
-// journaling at all (the engine takes its original zero-overhead path).
+// cannot know — the harness name, the fault-plan digest — and offers typed
+// append methods for each event. The benchmark runner holds a *Recorder as
+// its opt-in journal sink: a nil Recorder means no journaling at all (the
+// engine takes its original zero-overhead path).
 type Recorder struct {
 	W *Writer
 	// RunID names the run in the run-start event.
 	RunID string
 	// Harness names the producing entry point ("thalia bench", ...).
 	Harness string
-	// Seed is the chaos/jitter seed to record (0 for none).
-	Seed int64
 	// FaultPlanDigest fingerprints the injected fault plan, if any.
 	FaultPlanDigest string
 }
 
 // RunStart appends the opening event, stamping schema version, wall-clock
-// start, build info, and the recorder's run metadata.
-func (r *Recorder) RunStart(systems []string, queries, concurrency int, resilience bool) {
+// start, build info, and the recorder's run metadata. seed is the
+// resilience policy's jitter seed (0 for none).
+func (r *Recorder) RunStart(systems []string, queries, concurrency int, resilience bool, seed int64) {
 	info := buildinfo.Read()
 	_, _ = r.W.Append(Event{Type: TypeRunStart, RunStart: &RunStart{
 		RunID:           r.RunID,
@@ -37,7 +36,7 @@ func (r *Recorder) RunStart(systems []string, queries, concurrency int, resilien
 		Systems:         systems,
 		Queries:         queries,
 		Concurrency:     concurrency,
-		Seed:            r.Seed,
+		Seed:            seed,
 		FaultPlanDigest: r.FaultPlanDigest,
 		Resilience:      resilience,
 		Version:         info.Version,

@@ -15,9 +15,9 @@ import (
 func TestRecorderEndToEnd(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	rec := &Recorder{W: w, RunID: "rec-1", Harness: "unit", Seed: 9, FaultPlanDigest: "sha256:ab"}
+	rec := &Recorder{W: w, RunID: "rec-1", Harness: "unit", FaultPlanDigest: "sha256:ab"}
 
-	rec.RunStart([]string{"alpha"}, 2, 1, true)
+	rec.RunStart([]string{"alpha"}, 2, 1, true, 9)
 	cards := []*Card{{System: "alpha", Cells: []Cell{
 		{System: "alpha", Query: 1, Supported: true, Correct: true},
 		{System: "alpha", Query: 2, Supported: true, Correct: true},

@@ -86,7 +86,7 @@ func (p *Projection) Report() string {
 		for _, cell := range degraded {
 			fmt.Fprintf(&b, "  %s q%02d: %s\n", cell.System, cell.Query, cell.Err)
 			for _, a := range cell.Attempts {
-				fmt.Fprintf(&b, "    attempt %d: %s\n", a.N, attemptOutcome(a))
+				fmt.Fprintf(&b, "    attempt %d: %s\n", a.N, a.Outcome())
 			}
 			if cell.ExplainDigest != "" {
 				fmt.Fprintf(&b, "    %s\n", cell.ExplainDigest)
@@ -124,7 +124,9 @@ func attemptsLabel(c Cell) string {
 	return fmt.Sprintf("%d", len(c.Attempts))
 }
 
-func attemptOutcome(a Attempt) string {
+// Outcome renders one attempt the way the run report and the chaos report
+// print it: how it ended, then the backoff before the next attempt.
+func (a Attempt) Outcome() string {
 	var s string
 	switch {
 	case a.Shed:

@@ -20,13 +20,15 @@ import (
 	"thalia/internal/telemetry"
 )
 
-// Benchmark runs as a service: POST /runs starts a journaled evaluation in
-// the background; GET /runs lists runs from their replayed projections;
-// GET /runs/{id} serves one projection with ETag revalidation; and
-// GET /runs/{id}/events streams the journal live over SSE — every event the
-// flight recorder appends, with heartbeats and Last-Event-ID resume. Each
-// stream reads the run's own event backlog at its own pace, so a slow
-// client lags but loses nothing, and the run never waits for it.
+// Benchmark runs as a service: POST /runs, and the form behind POST
+// /run-benchmark, start a journaled evaluation in the background, and a
+// fault-free run posts its cards to the Honor Roll; GET /runs lists runs
+// from their replayed projections; GET /runs/{id} serves one projection
+// with ETag revalidation; and GET /runs/{id}/events streams the journal
+// live over SSE — every event the flight recorder appends, with heartbeats
+// and Last-Event-ID resume. Each stream reads the run's own event backlog
+// at its own pace, so a slow client lags but loses nothing, and the run
+// never waits for it.
 
 // defaultHeartbeat is the SSE keep-alive comment interval.
 const defaultHeartbeat = 15 * time.Second
@@ -252,7 +254,8 @@ func parseRunSpec(form url.Values) (runSpec, error) {
 
 // startRun allocates a run ID, opens its journal sink, registers the run,
 // and launches the evaluation in the background. The handler returns
-// immediately; progress streams at /runs/{id}/events.
+// immediately; progress streams at /runs/{id}/events. A run without
+// injected faults adds its ranked cards to the Honor Roll.
 func (s *Site) startRun(spec runSpec) (*run, error) {
 	rm := s.runs
 	rm.mu.Lock()
@@ -282,7 +285,6 @@ func (s *Site) startRun(spec runSpec) (*run, error) {
 	runner.Journal = rec
 	if spec.chaos {
 		plan := faultline.StandardMix(spec.seed)
-		rec.Seed = spec.seed
 		rec.FaultPlanDigest = plan.Digest()
 		runner.Resilience = benchmark.DefaultResilience(spec.seed)
 		wrapped := make([]integration.System, len(systems))
@@ -295,11 +297,42 @@ func (s *Site) startRun(spec runSpec) (*run, error) {
 	go func() {
 		defer r.finish()
 		defer func() { _ = w.Close() }()
-		if _, err := runner.EvaluateAll(systems...); err != nil {
+		cards, err := runner.EvaluateAll(systems...)
+		if err != nil {
 			s.logger.Error("benchmark run failed", "run", id, "err", err)
+			return
+		}
+		// Injected faults degrade scores, so only a fault-free run ranks.
+		// The entries land before finish, so a client that sees the run
+		// finished also sees them.
+		if !spec.chaos {
+			s.mu.Lock()
+			for _, card := range cards {
+				s.roll.Add("built-in", card)
+			}
+			s.mu.Unlock()
 		}
 	}()
 	return r, nil
+}
+
+// startFormRun parses a run request's form and starts the run. On a bad
+// request or a failed start it writes the error response and returns nil.
+func (s *Site) startFormRun(w http.ResponseWriter, r *http.Request) *run {
+	if !parsePostForm(w, r) {
+		return nil
+	}
+	spec, err := parseRunSpec(r.Form)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return nil
+	}
+	run, err := s.startRun(spec)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return nil
+	}
+	return run
 }
 
 // lookup finds a run by ID.
@@ -326,17 +359,8 @@ func (rm *runManager) list() []*run {
 func (s *Site) runsIndex(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		if !parsePostForm(w, r) {
-			return
-		}
-		spec, err := parseRunSpec(r.Form)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		run, err := s.startRun(spec)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+		run := s.startFormRun(w, r)
+		if run == nil {
 			return
 		}
 		w.Header().Set("Location", "/runs/"+run.id)

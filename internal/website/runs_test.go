@@ -109,6 +109,59 @@ func waitComplete(t *testing.T, ts *httptest.Server, id string) journal.ReportSu
 	return journal.ReportSummary{}
 }
 
+// waitFinished waits until run id has finished, calling read after each
+// event the run publishes, so a test can read site state while the run's
+// goroutine writes it.
+func waitFinished(t *testing.T, s *Site, id string, read func()) *run {
+	t.Helper()
+	r, ok := s.runs.lookup(id)
+	if !ok {
+		t.Fatalf("run %s is not registered", id)
+	}
+	timeout := time.After(10 * time.Second)
+	for {
+		_, finished, changed := r.since(0)
+		read()
+		if finished {
+			return r
+		}
+		select {
+		case <-changed:
+		case <-timeout:
+			t.Fatalf("run %s never finished", id)
+		}
+	}
+}
+
+// A run posts its ranked cards to the Honor Roll before it finishes, unless
+// it injected faults: a chaos run's degraded scores never reach the
+// ranking. The roll is read while each run writes it.
+func TestRunsPostFaultFreeCardsToHonorRoll(t *testing.T) {
+	s := New()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	readRoll := func() {
+		resp, err := http.Get(ts.URL + "/honor-roll")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = readAll(resp)
+	}
+	rollSize := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.roll.Entries)
+	}
+	waitFinished(t, s, startTestRun(t, ts, url.Values{"chaos": {"7"}}), readRoll)
+	if n := rollSize(); n != 0 {
+		t.Errorf("a chaos run added %d Honor Roll entries, want none", n)
+	}
+	waitFinished(t, s, startTestRun(t, ts, url.Values{"system": {"cohera", "iwiz"}}), readRoll)
+	if n := rollSize(); n != 2 {
+		t.Errorf("a two-system run added %d Honor Roll entries, want 2", n)
+	}
+}
+
 func TestRunsLifecycle(t *testing.T) {
 	s := New()
 	ts := httptest.NewServer(s.Handler())
@@ -503,7 +556,7 @@ func TestReloadPartialJournalAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &journal.Recorder{W: w, RunID: "run-crashed", Harness: "test"}
-	rec.RunStart([]string{"alpha"}, 12, 1, false)
+	rec.RunStart([]string{"alpha"}, 12, 1, false, 0)
 	for q := 1; q <= 3; q++ {
 		rec.CellStart("alpha", q)
 		rec.CellDone(journal.Cell{System: "alpha", Query: q, Supported: true, Correct: true})

@@ -514,9 +514,10 @@ Complexity score: <input name="complexity"><br>
 </form>`)
 }
 
-// runBenchmark evaluates one of the built-in integration systems
-// server-side and posts its score to the Honor Roll — the push-button
-// version of the paper's "Run Benchmark" workflow.
+// runBenchmark is the push-button version of the paper's "Run Benchmark"
+// workflow: GET shows the system picker, and POST starts a journaled run
+// exactly as POST /runs does, then redirects to the run's report. A
+// fault-free run posts its scores to the Honor Roll when it finishes.
 func (s *Site) runBenchmark(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writePage(w, "Run Benchmark", `<h2>Run Benchmark</h2>
@@ -532,26 +533,9 @@ System:
 </form>`)
 		return
 	}
-	if !parsePostForm(w, r) {
-		return
+	if run := s.startFormRun(w, r); run != nil {
+		http.Redirect(w, r, "/runs/"+run.id+"/report", http.StatusSeeOther)
 	}
-	sys, ok := systemByName(r.Form.Get("system"))
-	if !ok {
-		http.Error(w, "unknown system (cohera|iwiz|mediator|declarative)", http.StatusBadRequest)
-		return
-	}
-	runner := benchmark.NewRunner()
-	runner.Telemetry = s.metrics // server-side runs feed the same /metrics registry
-	card, err := runner.Evaluate(sys)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	s.mu.Lock()
-	s.roll.Add("built-in", card)
-	s.mu.Unlock()
-	writePage(w, "Benchmark Result", "<h2>Benchmark Result</h2><pre>"+html.EscapeString(card.Format())+"</pre>"+
-		`<p><a href="/honor-roll">Honor Roll</a></p>`)
 }
 
 // systemByName constructs one of the built-in integration systems from its

@@ -3,6 +3,7 @@ package website
 import (
 	"archive/zip"
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"thalia/internal/journal"
 )
 
 func get(t *testing.T, h http.Handler, path string) (*httptest.ResponseRecorder, string) {
@@ -229,43 +232,62 @@ func TestScoreUploadAndHonorRoll(t *testing.T) {
 
 // postScore uploads one score form and returns the response status.
 func postScore(h http.Handler, form url.Values) int {
-	req := httptest.NewRequest(http.MethodPost, "/scores", strings.NewReader(form.Encode()))
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	return rec.Code
+	return postForm(h, "/scores", form).Code
 }
 
+// The push-button "Run Benchmark" form starts a journaled run on the POST
+// /runs path and redirects to its report; the finished run posts its score
+// to the Honor Roll.
 func TestRunBenchmarkEndpoint(t *testing.T) {
-	h := New().Handler()
+	s := New()
+	h := s.Handler()
 	// GET shows the system picker.
 	_, body := get(t, h, "/run-benchmark")
 	if !strings.Contains(body, "<select") || !strings.Contains(body, "cohera") {
 		t.Error("run-benchmark form missing")
 	}
-	// POST evaluates IWIZ server-side and adds it to the Honor Roll.
-	form := url.Values{"system": {"iwiz"}}
-	req := httptest.NewRequest(http.MethodPost, "/run-benchmark", strings.NewReader(form.Encode()))
+	// POST starts a run of IWIZ and redirects to its report.
+	rec := postForm(h, "/run-benchmark", url.Values{"system": {"iwiz"}})
+	if rec.Code != http.StatusSeeOther {
+		t.Fatalf("run status %d: %s", rec.Code, rec.Body.String())
+	}
+	loc := rec.Header().Get("Location")
+	id, ok := strings.CutSuffix(strings.TrimPrefix(loc, "/runs/"), "/report")
+	if !ok || !strings.HasPrefix(id, "run-") {
+		t.Fatalf("redirect to %q, want /runs/{id}/report", loc)
+	}
+	var listing struct {
+		Runs []struct {
+			ID string `json:"id"`
+		} `json:"runs"`
+	}
+	if _, body := get(t, h, "/runs"); json.Unmarshal([]byte(body), &listing) != nil ||
+		len(listing.Runs) != 1 || listing.Runs[0].ID != id {
+		t.Errorf("GET /runs does not list %s: %s", id, body)
+	}
+	// Read the roll while the run writes it.
+	r := waitFinished(t, s, id, func() { get(t, h, "/honor-roll") })
+	if _, report := get(t, h, loc); !strings.Contains(report, "status:   complete") {
+		t.Errorf("finished run's report is not complete:\n%s", report)
+	}
+	events, _, _ := r.since(0)
+	if err := journal.Replay(events).Verify(); err != nil {
+		t.Errorf("run journal does not verify: %v", err)
+	}
+	if _, roll := get(t, h, "/honor-roll"); !strings.Contains(roll, "<td>IWIZ</td><td>built-in</td><td>9/12</td>") {
+		t.Errorf("honor roll does not list IWIZ at 9/12: %s", roll)
+	}
+	// Unknown systems are rejected.
+	if rec := postForm(h, "/run-benchmark", url.Values{"system": {"ghost"}}); rec.Code != http.StatusBadRequest {
+		t.Errorf("unknown system status %d", rec.Code)
+	}
+}
+
+// postForm POSTs a form to h and returns the recorded response.
+func postForm(h http.Handler, path string, form url.Values) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(form.Encode()))
 	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("run status %d: %s", rec.Code, rec.Body.String())
-	}
-	if !strings.Contains(rec.Body.String(), "Score: 9/12") {
-		t.Errorf("result page missing score: %.300s", rec.Body.String())
-	}
-	_, roll := get(t, h, "/honor-roll")
-	if !strings.Contains(roll, "IWIZ") {
-		t.Error("honor roll missing server-side run")
-	}
-	// Unknown systems are rejected.
-	bad := url.Values{"system": {"ghost"}}
-	req = httptest.NewRequest(http.MethodPost, "/run-benchmark", strings.NewReader(bad.Encode()))
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("unknown system status %d", rec.Code)
-	}
+	return rec
 }

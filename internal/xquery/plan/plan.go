@@ -3,8 +3,9 @@
 // time, builtins pre-resolved, and descendant path steps over documents
 // served from memoized name indexes instead of full tree walks.
 //
-// The tree-walking evaluator in internal/xquery remains the reference
-// implementation. A plan must produce exactly the interpreter's result — the
+// Programs evaluate XQuery only through plans. The tree-walking evaluator
+// in internal/xquery remains the reference implementation, which only
+// tests run. A plan must produce exactly the interpreter's result — the
 // same Sequence on success and the same *xquery.DynamicError class and
 // message on failure — for every input xquery.Parse accepts. That contract
 // is enforced three ways: the differential conformance suite in
@@ -160,4 +161,25 @@ func (c *Cache) Get(src string) (*Plan, error) {
 // Stats returns how many Get calls hit and missed the cache.
 func (c *Cache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
+}
+
+// defaultCache is the process-wide plan cache behind EvalQuery: each
+// distinct query text is parsed and compiled once per process, which is the
+// reuse pattern repeated facade and CLI evaluations exhibit.
+var defaultCache = NewCache()
+
+// EvalQuery evaluates src through the process-wide plan cache, so repeated
+// evaluations of the same query text skip the parser and compiler. Parse
+// and compile failures are returned unchanged and never cached.
+func EvalQuery(src string, ctx *xquery.Context) (xquery.Sequence, error) {
+	p, err := defaultCache.Get(src)
+	if err != nil {
+		return nil, err
+	}
+	return p.Eval(ctx)
+}
+
+// DefaultCacheStats reports the process-wide plan cache's hit/miss counts.
+func DefaultCacheStats() (hits, misses int64) {
+	return defaultCache.Stats()
 }

@@ -195,8 +195,8 @@ func QueryContext() *xquery.Context {
 	return xquery.NewContext(catalog.Resolver())
 }
 
-// QueryPlan is a compiled, reusable, goroutine-safe XQuery plan — the
-// default execution engine's unit of work.
+// QueryPlan is a compiled, reusable, goroutine-safe XQuery plan — the unit
+// every XQuery evaluation runs.
 type QueryPlan = plan.Plan
 
 // CompileXQuery compiles an XQuery (subset) expression into a reusable
@@ -206,21 +206,12 @@ func CompileXQuery(query string) (*QueryPlan, error) {
 	return plan.CompileQuery(query)
 }
 
-// EvalXQuery evaluates an XQuery (subset) expression against the testbed
-// on the compiled-plan engine, the default execution path: the query is
-// compiled through a process-wide plan cache and the plan is evaluated, so
-// repeated evaluations of the same text skip the parser and compiler.
+// EvalXQuery evaluates an XQuery (subset) expression against the testbed:
+// the query is compiled through a process-wide plan cache and the plan is
+// evaluated, so repeated evaluations of the same text skip the parser and
+// compiler.
 func EvalXQuery(query string) (xquery.Sequence, error) {
 	return plan.EvalQuery(query, QueryContext())
-}
-
-// EvalXQueryInterp evaluates the query on the reference tree-walking
-// interpreter instead — the differential escape hatch behind every
-// -engine=interp CLI flag. The two engines produce identical results and
-// errors for every accepted input; keep using EvalXQuery unless comparing
-// engines.
-func EvalXQueryInterp(query string) (xquery.Sequence, error) {
-	return xquery.EvalQuery(query, QueryContext())
 }
 
 // ItemString atomizes one XQuery result item to its string value.
