@@ -32,7 +32,6 @@ var testOnlyExports = map[string]string{
 	"xmldom.Document.EncodeCompact":       "xmldom tests and its fuzz target check the compact encoding round-trips",
 	"xmldom.Equal":                        "round-trip tests compare two parses of a document structurally; its only other use is its own recursion",
 	"xmldom.MustParse":                    "tests parse fixed XML fixtures",
-	"xquery.Context.Bind":                 "plan tests bind external variables that both XQuery engines must treat identically",
 	"xquery.EvalQuery":                    "parses and runs the reference interpreter, the plan engine's oracle, in one call: xquery's own tests, the explain goldens and the catalog end-to-end query use it",
 	"xquery/plan.Plan.Dump":               "feeds the plan goldens",
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"thalia/internal/benchmark"
 	"thalia/internal/catalog"
@@ -29,8 +30,10 @@ type QuerySpec struct {
 	// benchmark Request carries, and what the conformance suite evaluates
 	// against the reference document.
 	XQuery string
-	// ChallengeXQuery asks the same question against the challenge dialect;
-	// the scenario mediator compiles and runs this one.
+	// ChallengeXQuery asks the same question against the challenge dialect:
+	// the family's challenge query with the source's URI and parameter
+	// written in as literals. The scenario mediator never compiles it; it
+	// evaluates the family's plan with the two bound instead.
 	ChallengeXQuery string
 	// Fields is the canonical result-row vocabulary for this family.
 	Fields []string
@@ -44,10 +47,19 @@ type QuerySpec struct {
 	Credits    int // exclusive lower bound for the case-4 credit filter
 }
 
-// Spec returns source i's generated query spec. It walks the source's
-// stream only as far as the planted course the query is anchored on.
+// Spec returns source i's generated query spec with its texts spelled.
 func (sc *Scenario) Spec(i int) QuerySpec {
-	w := sc.walk(i, true)
+	s := sc.params(i)
+	s.spellReference()
+	s.ChallengeXQuery = challengeQuery(s.Case, strconv.Quote(s.Source+".xml"), "'"+s.param()+"'")
+	return s
+}
+
+// params returns source i's query spec without its texts. It walks the
+// source's stream only as far as the planted course the query is anchored
+// on.
+func (sc *Scenario) params(i int) QuerySpec {
+	w := sc.walk(i)
 	w.next()
 	return w.spec
 }
@@ -70,8 +82,8 @@ var familyFields = [...][]string{
 }
 
 // newSpec derives the query family parameters of a source from its
-// planted course; spellQueries adds the query texts for the consumers that
-// read them.
+// planted course; Spec and Queries spell the query texts for the
+// consumers that read them.
 func newSpec(source string, cse hetero.Case, planted *catalog.Course) QuerySpec {
 	return QuerySpec{
 		Source:     source,
@@ -84,72 +96,117 @@ func newSpec(source string, cse hetero.Case, planted *catalog.Course) QuerySpec 
 	}
 }
 
-// spellQueries fills in the spec's name and its query in both dialects.
+// spellReference fills in the spec's name and its reference query.
 // Reference queries stay inside the engine subset the canonical twelve
 // use: FLWOR over one doc(), '=' with %like% patterns, starts-with,
 // numeric comparison.
-func (s *QuerySpec) spellQueries() {
+func (s *QuerySpec) spellReference() {
 	subject := s.Subject
-	uri := s.Source + ".xml"
-	refFor := fmt.Sprintf("FOR $c in doc(%q)/catalog/course\n", uri)
-	chalFor := refFor
-	if s.Case == hetero.LanguageExpression {
-		chalFor = fmt.Sprintf("FOR $c in doc(%q)/catalog/Vorlesung\n", uri)
-	}
-	titleLike := fmt.Sprintf("WHERE $c/title = '%%%s%%'\n", subject)
+	refFor := "FOR $c in doc(" + strconv.Quote(s.Source+".xml") + ")/catalog/course\n"
+	titleLike := "WHERE $c/title = '%" + subject + "%'\n"
 	const ret = "RETURN $c"
 
 	switch s.Case {
 	case hetero.Synonyms:
-		s.Name = fmt.Sprintf("courses taught by %q", s.Instructor)
-		s.XQuery = refFor + fmt.Sprintf("WHERE $c/instructor = '%s'\n", s.Instructor) + ret
-		s.ChallengeXQuery = chalFor + fmt.Sprintf("WHERE $c/lecturer = '%s'\n", s.Instructor) + ret
+		s.Name = "courses taught by " + strconv.Quote(s.Instructor)
+		s.XQuery = refFor + "WHERE $c/instructor = '" + s.Instructor + "'\n" + ret
 	case hetero.SimpleMapping:
-		s.Name = fmt.Sprintf("courses starting at %s", catalog.Clock24(s.Start))
-		s.XQuery = refFor + fmt.Sprintf("WHERE starts-with($c/time, '%s')\n", catalog.Clock24(s.Start)) + ret
-		s.ChallengeXQuery = chalFor + fmt.Sprintf("WHERE starts-with($c/time, '%s')\n", catalog.Clock12(s.Start)) + ret
+		s.Name = "courses starting at " + catalog.Clock24(s.Start)
+		s.XQuery = refFor + "WHERE starts-with($c/time, '" + catalog.Clock24(s.Start) + "')\n" + ret
 	case hetero.UnionTypes:
-		s.Name = fmt.Sprintf("%s courses (hyperlinked titles)", subject)
+		s.Name = subject + " courses (hyperlinked titles)"
 		s.XQuery = refFor + titleLike + ret
-		s.ChallengeXQuery = chalFor + titleLike + ret
 	case hetero.ComplexMappings:
-		s.Name = fmt.Sprintf("%s courses worth more than %d credits", subject, s.Credits)
-		s.XQuery = refFor + fmt.Sprintf("WHERE $c/credits > %d and $c/title = '%%%s%%'\n", s.Credits, subject) + ret
-		s.ChallengeXQuery = chalFor + titleLike + ret // umfang arithmetic happens in the mediator
+		s.Name = subject + " courses worth more than " + strconv.Itoa(s.Credits) + " credits"
+		s.XQuery = refFor + "WHERE $c/credits > " + strconv.Itoa(s.Credits) + " and $c/title = '%" + subject + "%'\n" + ret
 	case hetero.LanguageExpression:
-		s.Name = fmt.Sprintf("%s courses (German source)", subject)
+		s.Name = subject + " courses (German source)"
 		s.XQuery = refFor + titleLike + ret
-		s.ChallengeXQuery = chalFor + ret // lexicon matching happens in the mediator
 	case hetero.Nulls:
-		s.Name = fmt.Sprintf("textbooks for %s courses", subject)
+		s.Name = "textbooks for " + subject + " courses"
 		s.XQuery = refFor + titleLike + ret
-		s.ChallengeXQuery = chalFor + titleLike + ret
 	case hetero.VirtualColumns:
-		s.Name = fmt.Sprintf("entry-level %s courses", subject)
-		s.XQuery = refFor + fmt.Sprintf("WHERE $c/prerequisite = 'None' and $c/title = '%%%s%%'\n", subject) + ret
-		s.ChallengeXQuery = chalFor + titleLike + ret // comment inference happens in the mediator
+		s.Name = "entry-level " + subject + " courses"
+		s.XQuery = refFor + "WHERE $c/prerequisite = 'None' and $c/title = '%" + subject + "%'\n" + ret
 	case hetero.SemanticIncompatibility:
-		s.Name = fmt.Sprintf("%s courses open to juniors", subject)
-		s.XQuery = refFor + fmt.Sprintf("WHERE $c/title = '%%%s%%' and $c/restriction = '%%JR%%'\n", subject) + ret
-		s.ChallengeXQuery = chalFor + titleLike + ret
+		s.Name = subject + " courses open to juniors"
+		s.XQuery = refFor + "WHERE $c/title = '%" + subject + "%' and $c/restriction = '%JR%'\n" + ret
 	case hetero.SameAttributeDifferentStructure:
-		s.Name = fmt.Sprintf("rooms for %s courses", subject)
+		s.Name = "rooms for " + subject + " courses"
 		s.XQuery = refFor + titleLike + ret
-		s.ChallengeXQuery = chalFor + titleLike + ret
 	case hetero.HandlingSets:
-		s.Name = fmt.Sprintf("instructors of %s courses", subject)
+		s.Name = "instructors of " + subject + " courses"
 		s.XQuery = refFor + titleLike + ret
-		s.ChallengeXQuery = chalFor + titleLike + ret
 	case hetero.AttributeNameDoesNotDefineSemantics:
-		s.Name = fmt.Sprintf("who teaches %s, and when", subject)
+		s.Name = "who teaches " + subject + ", and when"
 		s.XQuery = refFor + titleLike + ret
-		s.ChallengeXQuery = chalFor + titleLike + ret
 	case hetero.AttributeComposition:
-		s.Name = fmt.Sprintf("meeting times of %s courses", subject)
+		s.Name = "meeting times of " + subject + " courses"
 		s.XQuery = refFor + titleLike + ret
-		s.ChallengeXQuery = chalFor + fmt.Sprintf("WHERE $c/listing = '%%%s%%'\n", subject) + ret
 	}
 }
+
+// challengeQuery spells family c's challenge query around its two holes:
+// uri, the source document's URI, and p, the family parameter. Both are
+// XQuery expressions: the external variables $uri and $p in the family's
+// plan, or a source's own literals in its spec's text. Most families only
+// filter on the title; the mediator does the rest of their work (Umfang
+// arithmetic, comment inference, lexicon matching, ...).
+func challengeQuery(c hetero.Case, uri, p string) string {
+	elem, where := "course", "$c/title = "+p
+	switch c {
+	case hetero.Synonyms:
+		where = "$c/lecturer = " + p
+	case hetero.SimpleMapping:
+		where = "starts-with($c/time, " + p + ")"
+	case hetero.LanguageExpression:
+		elem, where = "Vorlesung", ""
+	case hetero.AttributeComposition:
+		where = "$c/listing = " + p
+	}
+	q := "FOR $c in doc(" + uri + ")/catalog/" + elem + "\n"
+	if where != "" {
+		q += "WHERE " + where + "\n"
+	}
+	return q + "RETURN $c"
+}
+
+// param is the value the spec's family plan binds to $p.
+func (s *QuerySpec) param() string {
+	switch s.Case {
+	case hetero.Synonyms:
+		return s.Instructor
+	case hetero.SimpleMapping:
+		return catalog.Clock12(s.Start)
+	case hetero.LanguageExpression:
+		return "" // the family's query has no parameter
+	default:
+		return "%" + s.Subject + "%"
+	}
+}
+
+// challengeElements evaluates the spec's family plan over the source's
+// challenge document doc, with $uri and $p bound to the source's URI and
+// parameter, and returns the element items.
+func (s *QuerySpec) challengeElements(doc *xmldom.Document) ([]*xmldom.Element, error) {
+	plans, err := familyPlans()
+	if err != nil {
+		return nil, err
+	}
+	return evalToElements(plans[s.Case], s.Source, s.param(), doc)
+}
+
+// familyPlans compiles each family's challenge query, over the external
+// variables $uri and $p, once per process on first use: a process that
+// never answers a scenario cell compiles none.
+var familyPlans = sync.OnceValues(func() (plans [len(familyFields)]*plan.Plan, err error) {
+	for _, c := range hetero.AllCases() {
+		if plans[c], err = plan.CompileQuery(challengeQuery(c, "$uri", "$p")); err != nil {
+			return plans, fmt.Errorf("scenario: compile the case %d query family: %w", int(c), err)
+		}
+	}
+	return plans, nil
+})
 
 // germanLex is the shared (read-only) schema lexicon; truth and mediator
 // resolve case-5 values through the same dictionary the canonical testbed
@@ -162,7 +219,7 @@ var germanLex = mapping.NewGermanLexicon()
 // one walk of the source generates it.
 func (sc *Scenario) Truth(i int) []integration.Row {
 	var rows []integration.Row
-	w := sc.walk(i, false)
+	w := sc.walk(i)
 	for w.more() {
 		c := w.next()
 		rows = truthRows(rows, &w.spec, &c)
@@ -255,7 +312,8 @@ func (sc *Scenario) Queries() []*benchmark.Query {
 	qs := make([]*benchmark.Query, sc.p.Sources)
 	for i := range qs {
 		i := i
-		spec := sc.Spec(i)
+		spec := sc.params(i)
+		spec.spellReference()
 		qs[i] = benchmark.NewQuery(i+1, spec.Case, spec.Name, spec.XQuery,
 			spec.Source+"-ref", spec.Source, spec.Fields,
 			func() ([]integration.Row, error) { return sc.Truth(i), nil })
@@ -274,7 +332,12 @@ func (sc *Scenario) RefRows(i int) (rows []integration.Row, checkable bool, err 
 		return nil, false, nil
 	}
 	doc, spec := sc.render(i, false, new(arena))
-	els, err := evalToElements(spec.XQuery, spec.Source, doc)
+	spec.spellReference()
+	p, err := plan.CompileQuery(spec.XQuery)
+	if err != nil {
+		return nil, true, fmt.Errorf("scenario: compile %s: %w", spec.Source, err)
+	}
+	els, err := evalToElements(p, spec.Source, "", doc)
 	if err != nil {
 		return nil, true, err
 	}
@@ -284,13 +347,10 @@ func (sc *Scenario) RefRows(i int) (rows []integration.Row, checkable bool, err 
 	return rows, true, nil
 }
 
-// evalToElements compiles and runs a one-document query, returning the
-// element items.
-func evalToElements(query, source string, doc *xmldom.Document) ([]*xmldom.Element, error) {
-	p, err := plan.CompileQuery(query)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: compile %s: %w", source, err)
-	}
+// evalToElements runs a one-document plan over doc, the document of
+// source, with $uri bound to the document's URI and $p to param, and
+// returns the element items.
+func evalToElements(p *plan.Plan, source, param string, doc *xmldom.Document) ([]*xmldom.Element, error) {
 	uri := source + ".xml"
 	ctx := xquery.NewContext(func(u string) (*xmldom.Document, error) {
 		if u == uri {
@@ -298,11 +358,13 @@ func evalToElements(query, source string, doc *xmldom.Document) ([]*xmldom.Eleme
 		}
 		return nil, fmt.Errorf("scenario: no document %q (source %s)", u, source)
 	})
+	ctx.Bind("uri", xquery.Sequence{uri})
+	ctx.Bind("p", xquery.Sequence{param})
 	seq, err := p.Eval(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: eval %s: %w", source, err)
 	}
-	var els []*xmldom.Element
+	els := make([]*xmldom.Element, 0, len(seq))
 	for _, item := range seq {
 		if el, ok := item.(*xmldom.Element); ok {
 			els = append(els, el)

@@ -41,7 +41,7 @@ func (sc *Scenario) ChallengeXML(i int) string {
 // rendered as it is generated. The document lives in the arena until the
 // arena's next render.
 func (sc *Scenario) render(i int, challenge bool, a *arena) (*xmldom.Document, QuerySpec) {
-	w := sc.walk(i, true)
+	w := sc.walk(i)
 	root := a.reset(w.n, w.source)
 	var buf [maxFields]field
 	for w.more() {

@@ -110,13 +110,14 @@ func TestPooledArenaRendersLikeFresh(t *testing.T) {
 
 // Budgets for one streaming cell over a uniform scenario: its expected
 // answer plus the mediator's answer, which renders the challenge document
-// into a recycled arena, compiles and runs the query and shapes the rows.
-// A cell takes about 275 allocations and 13 KB. Rendering into a fresh
-// arena per cell (about 330 allocations and 44 KB) blows both budgets, and
-// a slice of instructors per course (about 16.5 KB) the byte budget.
+// into a recycled arena, evaluates its family's compiled plan over it and
+// shapes the rows. A cell takes about 115 allocations and 6.3 KB; each
+// budget is that plus about 20%. Spelling, parsing and compiling the
+// source's challenge query per cell (about 200 allocations and 9.4 KB)
+// blows both budgets.
 const (
-	cellAllocBudget = 310
-	cellByteBudget  = 16 << 10
+	cellAllocBudget = 140
+	cellByteBudget  = 7600
 )
 
 // challengeDocBytes is what ChallengeDocument allocated per document at

@@ -222,19 +222,25 @@ func (sc *Scenario) Params() Params { return sc.p }
 // Sources returns the number of generated catalogs.
 func (sc *Scenario) Sources() int { return sc.p.Sources }
 
-// Name returns the i-th source's name, e.g. "s00042" — the Challenge
-// field of the generated queries and the school attribute of the rendered
-// documents; doc() URIs append ".xml".
-func (sc *Scenario) Name(i int) string { return fmt.Sprintf("s%05d", i+1) }
+// Name returns the i-th source's name, e.g. "s00042": its number from 1,
+// padded to five digits — the Challenge field of the generated queries
+// and the school attribute of the rendered documents; doc() URIs append
+// ".xml".
+func (sc *Scenario) Name(i int) string {
+	var b [20]byte
+	num := strconv.AppendInt(b[:0], int64(i+1), 10)
+	return "s" + "00000"[:max(0, 5-len(num))] + string(num)
+}
 
-// Index resolves a source name (or "name.xml" URI) back to its index.
+// Index resolves a source name (or "name.xml" URI) back to its index. It
+// accepts exactly the names Name spells.
 func (sc *Scenario) Index(name string) (int, error) {
 	name = strings.TrimSuffix(name, ".xml")
 	if len(name) < 2 || name[0] != 's' {
 		return 0, fmt.Errorf("scenario: not a scenario source: %q", name)
 	}
 	n, err := strconv.Atoi(name[1:])
-	if err != nil || n < 1 || n > sc.p.Sources {
+	if err != nil || n < 1 || n > sc.p.Sources || sc.Name(n-1) != name {
 		return 0, fmt.Errorf("scenario: no source %q in a %d-source scenario", name, sc.p.Sources)
 	}
 	return n - 1, nil
@@ -422,17 +428,16 @@ func meeting(c *catalog.Course) clockRange {
 // walk is one pass over source i's stream: the case and the course count
 // are drawn when it starts, and each next call generates the following
 // course. The first course is the planted one that anchors the query, so
-// spec is complete from the first next call on; its query texts are
-// spelled only when the walk was started with texts set. Everything
-// derives from the source's splitmix64 stream, so every walk of a source
-// is identical; a consumer takes one walk and renders, scores or collects
-// as it goes, never holding the course list.
+// spec's parameters are complete from the first next call on; its texts
+// are left for the consumers that read them to spell. Everything derives
+// from the source's splitmix64 stream, so every walk of a source is
+// identical; a consumer takes one walk and renders, scores or collects as
+// it goes, never holding the course list.
 type walk struct {
 	source string // the source's name
 	r      rng
 	cse    hetero.Case
 	n, j   int
-	texts  bool
 	spec   QuerySpec
 
 	// instr holds the current course's instructors: a course is valid
@@ -440,10 +445,11 @@ type walk struct {
 	instr [2]catalog.Instructor
 }
 
-// walk starts a pass over source i's stream; texts asks for the spec's
-// query texts as well as its parameters.
-func (sc *Scenario) walk(i int, texts bool) *walk {
-	w := &walk{source: sc.Name(i), r: sc.sourceRNG(i), texts: texts}
+// walk starts a pass over source i's stream. It returns the walk by
+// value, so a consumer that keeps none of its courses' strings (Spec,
+// Queries) holds it on its own stack.
+func (sc *Scenario) walk(i int) walk {
+	w := walk{source: sc.Name(i), r: sc.sourceRNG(i)}
 	w.cse = sc.pickCase(&w.r)
 	w.n = sc.p.Size + w.r.intn(sc.p.Size)
 	return w
@@ -458,9 +464,6 @@ func (w *walk) next() catalog.Course {
 	c := w.genCourse()
 	if w.j == 0 {
 		w.spec = newSpec(w.source, w.cse, &c)
-		if w.texts {
-			w.spec.spellQueries()
-		}
 	}
 	w.j++
 	return c

@@ -92,7 +92,8 @@ func TestNameIndexRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for _, bad := range []string{"", "x00001", "s00000", "s00043", "cmu"} {
+	// The last four parse to source 7's number but are not its name.
+	for _, bad := range []string{"", "x00001", "s00000", "s00043", "cmu", "s7", "s+7", "s0000007", "s07.xml"} {
 		if _, err := sc.Index(bad); err == nil {
 			t.Errorf("Index(%q): want error", bad)
 		}

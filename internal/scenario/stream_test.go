@@ -120,21 +120,19 @@ func TestStreamingDigestPinned(t *testing.T) {
 	}
 }
 
-// compileAllocBudget caps the allocations of compiling one generated
-// challenge query, the plan each streaming cell compiles once: 23 to 37
-// with the plan dump rendered only when Dump asks for it, 49 to 78 when
-// every Compile rendered it.
+// compileAllocBudget caps the allocations of compiling one family's
+// challenge query, which a process compiles once per family, not per
+// cell: 21 to 33 with the plan dump rendered only when Dump asks for it.
+// (When every Compile rendered it, a source's spelled query took 49 to
+// 78.)
 const compileAllocBudget = 40
 
 // TestCompileAllocationBudget pins plan.Compile's allocations for the
-// challenge query of each of the twelve families.
+// challenge query of each of the twelve families, over $uri and $p as
+// familyPlans compiles it.
 func TestCompileAllocationBudget(t *testing.T) {
 	for _, c := range hetero.AllCases() {
-		sc, err := New(Params{Sources: 1, Seed: 7, Mix: Mix{c: 1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := xquery.Parse(sc.Spec(0).ChallengeXQuery)
+		e, err := xquery.Parse(challengeQuery(c, "$uri", "$p"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,6 +141,7 @@ func TestCompileAllocationBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		t.Logf("case %d: %.0f allocations per Compile", int(c), allocs)
 		if allocs > compileAllocBudget {
 			t.Errorf("case %d: %.0f allocations per Compile, budget %d", int(c), allocs, compileAllocBudget)
 		}

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"regexp"
 	"strconv"
 	"strings"
 
@@ -42,9 +41,9 @@ func (m *Mediator) Description() string {
 func (m *Mediator) Docs() *DocSource { return m.docs }
 
 // Answer implements integration.System: materialize the challenge
-// document, run the challenge-dialect query through the compiled-plan
-// engine, shape rows with the class's mapping functions, release the
-// document.
+// document, evaluate the family's compiled challenge plan over it with the
+// source's URI and parameter bound, shape rows with the class's mapping
+// functions, release the document.
 func (m *Mediator) Answer(req integration.Request) (*integration.Answer, error) {
 	i, err := m.sc.Index(req.Challenge)
 	if err != nil {
@@ -52,7 +51,7 @@ func (m *Mediator) Answer(req integration.Request) (*integration.Answer, error) 
 	}
 	doc, spec := m.docs.Acquire(i)
 	defer m.docs.Release(i)
-	els, err := evalToElements(spec.ChallengeXQuery, spec.Source, doc)
+	els, err := spec.challengeElements(doc)
 	if err != nil {
 		return nil, err
 	}
@@ -67,9 +66,6 @@ func (m *Mediator) Answer(req integration.Request) (*integration.Answer, error) 
 	charge := charges[spec.Case]
 	return &integration.Answer{Rows: rows, Effort: charge.effort, Functions: charge.fns}, nil
 }
-
-// termRE decomposes a semester-as-column-name element ("Fall2003").
-var termRE = regexp.MustCompile(`^(Fall|Winter|Spring|Summer)(\d{4})$`)
 
 // chalExtract shapes one challenge-dialect course element into canonical
 // rows, applying the Go-side mapping work the dialect demands.
@@ -131,11 +127,9 @@ func chalExtract(spec QuerySpec, el *xmldom.Element) ([]integration.Row, error) 
 		}
 	case hetero.AttributeNameDoesNotDefineSemantics:
 		for _, ch := range el.ChildElements() {
-			m := termRE.FindStringSubmatch(ch.Name)
-			if m == nil {
-				continue
+			if semester, ok := semesterColumn(ch.Name); ok {
+				add("title", title, "instructor", ch.Text(), "semester", semester)
 			}
-			add("title", title, "instructor", ch.Text(), "semester", m[1]+" "+m[2])
 		}
 	case hetero.AttributeComposition:
 		t, day, tm, err := decomposeListing(el.ChildText("listing"))
@@ -146,6 +140,21 @@ func chalExtract(spec QuerySpec, el *xmldom.Element) ([]integration.Row, error) 
 		add("title", t, "day", day, "time", tm)
 	}
 	return rows, nil
+}
+
+// seasons are the terms a semester-as-column-name element starts with.
+var seasons = [...]string{"Fall", "Winter", "Spring", "Summer"}
+
+// semesterColumn decomposes a semester-as-column-name element name, a
+// season followed by exactly four ASCII digits ("Fall2003"), into the
+// semester it names ("Fall 2003"). ok is false for any other name.
+func semesterColumn(name string) (semester string, ok bool) {
+	for _, season := range seasons {
+		if year, found := strings.CutPrefix(name, season); found && len(year) == 4 && strings.Trim(year, "0123456789") == "" {
+			return season + " " + year, true
+		}
+	}
+	return "", false
 }
 
 // decomposeListing splits a composed listing value back into its parts:

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -462,8 +463,8 @@ func execPred(rt *runtime, in xquery.Sequence, pred *compiledPred) (xquery.Seque
 	if len(in) > 0 {
 		out = make(xquery.Sequence, 0, len(in))
 	}
-	for _, item := range in {
-		rt.slots[pred.slot] = xquery.Sequence{item}
+	for i, item := range in {
+		rt.slots[pred.slot] = in[i : i+1 : i+1]
 		s, err := pred.fn(rt)
 		if err != nil {
 			return nil, err
@@ -576,13 +577,16 @@ func (c *compiler) compileFLWOR(n *xquery.FLWOR) (compiled, error) {
 					continue
 				}
 				// One arena allocation backs every extended tuple this input
-				// sequence produces, instead of one allocation per item.
+				// sequence produces, instead of one allocation per item, and
+				// each item is bound as a full-capacity one-item window of
+				// seq rather than a sequence of its own.
 				width := len(t) + 1
 				arena := make([]xquery.Sequence, len(seq)*width)
-				for i, item := range seq {
+				next = slices.Grow(next, len(seq))
+				for i := range seq {
 					nt := arena[i*width : (i+1)*width : (i+1)*width]
 					copy(nt, t)
-					nt[len(t)] = xquery.Sequence{item}
+					nt[len(t)] = seq[i : i+1 : i+1]
 					next = append(next, nt)
 				}
 			}
@@ -826,8 +830,8 @@ func (c *compiler) compileQuantified(n *xquery.Quantified) (compiled, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, item := range seq {
-			rt.slots[slot] = xquery.Sequence{item}
+		for i := range seq {
+			rt.slots[slot] = seq[i : i+1 : i+1]
 			s, err := sat(rt)
 			if err != nil {
 				return nil, err

@@ -32,7 +32,7 @@ func FuzzCompileEval(f *testing.F) {
 		`substring()`,
 		`string-join(doc("a.xml")//instructor, "; ")`,
 	}
-	for _, s := range seeds {
+	for _, s := range append(seeds, windowQueries...) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

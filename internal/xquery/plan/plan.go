@@ -1,7 +1,10 @@
 // Package plan compiles parsed XQuery expressions into reusable executable
 // plans: closure trees with variables resolved to integer slots at compile
-// time, builtins pre-resolved, and descendant path steps over documents
-// served from memoized name indexes instead of full tree walks.
+// time and builtins pre-resolved. A variable bound to one item of a
+// sequence (a for variable, a quantified variable, a predicate's context
+// item) holds a full-capacity one-item window of that sequence, so binding
+// allocates nothing; no compiled closure writes into a Sequence it did not
+// allocate, which is what makes sharing the input's backing array sound.
 //
 // Programs evaluate XQuery only through plans. The tree-walking evaluator
 // in internal/xquery remains the reference implementation, which only
@@ -72,9 +75,11 @@ func Compile(e xquery.Expr) (*Plan, error) {
 // plan has been used — cache reuse made visible in traces.
 //
 // Per-evaluation runtimes are drawn from a pool and returned with their
-// slots cleared; results never alias the slot array (compiled closures copy
-// items out of slots into fresh output sequences), so recycling is
-// invisible to callers and safe under concurrent Eval.
+// slots cleared. A result may share a backing array with a sequence the
+// evaluation read, or with a slot's window of one, but no compiled closure
+// writes into a Sequence it did not allocate, and the slot array itself
+// holds only slice headers: clearing and recycling it changes no result,
+// so pooling is invisible to callers and safe under concurrent Eval.
 func (p *Plan) Eval(ctx *xquery.Context) (xquery.Sequence, error) {
 	rt := runtimes.Get().(*runtime)
 	if cap(rt.slots) < p.nSlots {

@@ -3,6 +3,7 @@ package plan_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -137,6 +138,24 @@ var equivalenceQueries = []string{
 	`FOR $c in doc("a.xml")/catalog/course[nested[title = "Lab"]] RETURN $c/@id`,
 }
 
+// windowQueries read, re-bind and return variables the plan binds as
+// one-item windows of their input: for variables, quantified variables
+// and predicate context items. TestPlanMatchesInterpreter runs them, and
+// FuzzCompileEval seeds its corpus with them.
+var windowQueries = []string{
+	// Two nested fors, the inner over the outer's variable.
+	`FOR $c in doc("a.xml")/catalog/course FOR $i in $c/instructor RETURN concat($c/@id, ":", $i)`,
+	`FOR $x in (1, 2) FOR $y in ($x, $x + 10) RETURN ($x, $y)`,
+	// A let over a for variable.
+	`FOR $c in doc("a.xml")/catalog/course LET $d := $c RETURN ($d/@id, count($d))`,
+	// A predicate and a positional predicate on a step from a bound variable.
+	`FOR $c in doc("a.xml")/catalog/course RETURN $c/nested[title = "Lab"]`,
+	`FOR $c in doc("a.xml")/catalog/course RETURN $c/*[2]`,
+	// some and every over a for variable.
+	`FOR $c in doc("a.xml")/catalog/course WHERE some $i in $c/instructor satisfies $i = "Helen" RETURN $c/@id`,
+	`FOR $c in doc("a.xml")/catalog/course RETURN every $d in $c satisfies $d/@credits > 2`,
+}
+
 // evalBoth runs src through the interpreter and the compiled plan against
 // independent but identically configured contexts, and returns both
 // outcomes.
@@ -156,7 +175,7 @@ func evalBoth(t *testing.T, src string) (want, got xquery.Sequence, werr, gerr e
 }
 
 func TestPlanMatchesInterpreter(t *testing.T) {
-	for _, src := range equivalenceQueries {
+	for _, src := range slices.Concat(equivalenceQueries, windowQueries) {
 		t.Run(src, func(t *testing.T) {
 			want, got, werr, gerr := evalBoth(t, src)
 			if (werr == nil) != (gerr == nil) {
