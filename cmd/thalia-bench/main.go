@@ -89,7 +89,7 @@ func chaosCmd(args []string, out io.Writer) error {
 	if *pool < 2 {
 		*pool = 2
 	}
-	rep, err := benchmark.MeasureChaos(*runs, []int{*pool}, *seed, systems()...)
+	rep, err := benchmark.MeasureChaos(*runs, *pool, *seed, systems()...)
 	if err != nil {
 		return err
 	}

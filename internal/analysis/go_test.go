@@ -247,7 +247,7 @@ func TestExplainKindsDetectsDeadVocabulary(t *testing.T) {
 		t.Fatal(err)
 	}
 	findings := explainKinds.analyzer().Run(pkgs)
-	const wantKinds = 19
+	const wantKinds = 18
 	if len(findings) != wantKinds {
 		t.Errorf("got %d findings, want %d (one per Kind constant)", len(findings), wantKinds)
 	}

@@ -48,6 +48,26 @@ func TestChaosSameSeedByteIdentical(t *testing.T) {
 	}
 }
 
+// TestChaosRenderPinned pins seed 3's chaos surface to a committed golden
+// at pools 1, 2 and 8: the four systems under faultline.StandardMix(3)
+// with DefaultResilience(3). At this seed the Declarative Mediator fails
+// five times in a row across q06-q07, so its breaker opens and sheds q07's
+// third attempt and q08's first two. The render holds only if each breaker
+// observes its system's cells in query order whatever the pool.
+func TestChaosRenderPinned(t *testing.T) {
+	want := readGolden(t, "testdata/chaos-seed3.render")
+	for _, pool := range []int{1, 2, 8} {
+		r := &Runner{Queries: Queries(), Concurrency: pool, Resilience: DefaultResilience(3)}
+		cards, err := r.EvaluateAll(chaosSystems(3)...)
+		if err != nil {
+			t.Fatalf("pool %d: %v", pool, err)
+		}
+		if got := renderChaos(cards); got != want {
+			t.Errorf("pool %d: chaos render differs from testdata/chaos-seed3.render:\n%s", pool, got)
+		}
+	}
+}
+
 // A zero-fault plan plus an active resilience policy must be invisible: the
 // ranked scorecards are byte-identical to a bare sequential run.
 func TestChaosZeroFaultByteIdentical(t *testing.T) {

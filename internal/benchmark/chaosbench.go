@@ -10,12 +10,13 @@ import (
 )
 
 // MeasureChaos times EvaluateAll under the standard fault mix with the
-// default resilience policy — the throughput-under-chaos regression
-// artifact (BENCH_chaos.json). Beyond timing, every run is validated for
-// the graceful-degradation contract: all queries produce a result and
-// every cell carries a non-empty attempt history; a violation fails the
-// measurement rather than producing a silently wrong baseline.
-func MeasureChaos(runs int, poolSizes []int, seed int64, systems ...integration.System) (*Report, error) {
+// default resilience policy, sequentially and on a pool of the given size
+// — the throughput-under-chaos regression artifact (BENCH_chaos.json).
+// Beyond timing, every run is validated for the graceful-degradation
+// contract: all queries produce a result and every cell carries a
+// non-empty attempt history; a violation fails the measurement rather than
+// producing a silently wrong baseline.
+func MeasureChaos(runs, pool int, seed int64, systems ...integration.System) (*Report, error) {
 	if runs <= 0 {
 		runs = 1
 	}
@@ -51,22 +52,13 @@ func MeasureChaos(runs int, poolSizes []int, seed int64, systems ...integration.
 		return nil, err
 	}
 	rep.Timings = append(rep.Timings, seq)
-	best := int64(0)
-	for _, workers := range poolSizes {
-		if workers <= 1 {
-			continue
-		}
-		par, err := measure(fmt.Sprintf("chaos_evaluate_all/par%d", workers), workers)
+	if pool > 1 {
+		par, err := measure(fmt.Sprintf("chaos_evaluate_all/par%d", pool), pool)
 		if err != nil {
 			return nil, err
 		}
 		rep.Timings = append(rep.Timings, par)
-		if best == 0 || par.NsPerOp < best {
-			best = par.NsPerOp
-		}
-	}
-	if best > 0 {
-		rep.Speedup = float64(seq.NsPerOp) / float64(best)
+		rep.Speedup = float64(seq.NsPerOp) / float64(par.NsPerOp)
 	}
 	return rep, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,9 +24,9 @@ var ErrQueryTimeout = errors.New("benchmark: query evaluation timed out")
 // truth is one query's expected answer within one run. The ground-truth
 // rows are the same for every system, so all of a query's cells share one
 // truth: the first to need it computes it and the others share the rows
-// (or the error). The cell that scores last drops them, so a run holds the
-// truth of only the queries in flight. Sharing is safe because
-// integration.MatchRows reads its inputs without mutating them.
+// (or the error). The cell that scores last drops them, so a run holds a
+// query's truth only from its first cell to its last. Sharing is safe
+// because integration.MatchRows reads its inputs without mutating them.
 type truth struct {
 	once   sync.Once
 	rows   []integration.Row
@@ -45,6 +46,41 @@ func (t *truth) release(nsys int) {
 	if int(t.scored.Add(1)) == nsys {
 		t.rows, t.err = nil, nil
 	}
+}
+
+// turns hands a resilient run's cells to its workers: each system's cells
+// one at a time and in query order, so its circuit breaker observes them
+// in order, and otherwise query-major, so the systems' rows advance
+// together and a free worker never waits on a busy system.
+type turns struct {
+	mu   sync.Mutex
+	next []int  // each system's next query
+	held []bool // the systems whose current cell a worker is running
+}
+
+// claim releases system last (none if negative) and returns the next cell
+// of the idle system with the lowest next query, ties to the lowest
+// index. ok is false when every system with cells left is held: their
+// holders run the rest.
+func (t *turns) claim(last, nq int) (qi, si int, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if last >= 0 {
+		t.held[last] = false
+	}
+	si = -1
+	for i, q := range t.next {
+		if !t.held[i] && q < nq && (si < 0 || q < t.next[si]) {
+			si = i
+		}
+	}
+	if si < 0 {
+		return 0, 0, false
+	}
+	qi = t.next[si]
+	t.next[si]++
+	t.held[si] = true
+	return qi, si, true
 }
 
 // concurrency resolves the runner's worker-pool size: an explicit positive
@@ -71,14 +107,14 @@ func (r *Runner) EvaluateContext(ctx context.Context, sys integration.System) (*
 
 // EvaluateAllContext scores several systems concurrently and returns their
 // cards ranked. All query×system cells are spread over a pool of
-// r.Concurrency workers (default: one per logical CPU), so the systems'
-// Answer methods — and the catalog materialization they share — must be
-// safe for concurrent use; every built-in system is (see
-// integration.System). Cancelling ctx abandons the evaluation and returns
-// ctx.Err(). A per-cell timeout (r.QueryTimeout) degrades a stuck query to
-// a per-query error instead of hanging the run. The ranked cards and the
-// per-query results within them are deterministic: identical to the
-// sequential path byte for byte.
+// r.Concurrency workers (default: one per logical CPU; under a resilience
+// policy, at most one per system), so the systems' Answer methods — and
+// the catalog materialization they share — must be safe for concurrent
+// use; every built-in system is (see integration.System). Cancelling ctx
+// abandons the evaluation and returns ctx.Err(). A per-cell timeout
+// (r.QueryTimeout) degrades a stuck query to a per-query error instead of
+// hanging the run. The ranked cards and the per-query results within them
+// are deterministic: identical to the sequential path byte for byte.
 func (r *Runner) EvaluateAllContext(ctx context.Context, systems ...integration.System) ([]*Scorecard, error) {
 	cards := make([]*Scorecard, len(systems))
 	for i, sys := range systems {
@@ -89,36 +125,32 @@ func (r *Runner) EvaluateAllContext(ctx context.Context, systems ...integration.
 		}
 	}
 
-	// Workers claim cells from one counter in query-major order: cell k is
-	// query k/nsys of system k%nsys. Under a resilience policy, each
-	// system's cells must observe its circuit breaker in query order —
-	// consecutive-failure counting is order-sensitive, and same-seed runs
-	// must see the same breaker trajectory regardless of worker scheduling.
-	// gates is a per-system ladder: gates[si][qi] opens once cell (si, qi-1)
-	// has completed, so a system's cells run sequentially while systems
-	// still run in parallel. This cannot deadlock: cell k is claimed only
-	// after every cell before it, and a claimed cell always runs and opens
-	// its successor gate, so whenever a worker holds cell (si, qi) its
-	// predecessor (si, qi-1) is already held (or finished) by another
-	// worker, and the earliest incomplete cell per system is never blocked.
-	var breakers []*faultline.Breaker
-	var gates [][]chan struct{}
-	if r.Resilience != nil {
-		breakers = make([]*faultline.Breaker, len(systems))
-		gates = make([][]chan struct{}, len(systems))
-		for i := range systems {
-			breakers[i] = newBreaker()
-			gates[i] = make([]chan struct{}, len(r.Queries)+1)
-			for j := range gates[i] {
-				gates[i][j] = make(chan struct{})
-			}
-			close(gates[i][0])
-		}
+	// Workers claim cells query-major: query by query, each query's
+	// systems in order. Without a policy any free worker takes the next
+	// cell from one counter (cell k is query k/nsys of system k%nsys).
+	// Under a resilience policy consecutive-failure counting is
+	// order-sensitive, so each circuit breaker must observe its system's
+	// cells in query order for same-seed runs to see the same breaker
+	// trajectory whatever the scheduling: a system's next cell goes to a
+	// free worker only once its previous cell is done (see turns), so at
+	// most one worker per system is ever busy.
+	nsys, nq := len(systems), len(r.Queries)
+	workers := min(r.concurrency(), nsys*nq)
+	var next atomic.Int64
+	claim := func(int) (qi, si int, ok bool) {
+		k := int(next.Add(1) - 1)
+		return k / nsys, k % nsys, k < nsys*nq
 	}
-
-	nsys := len(systems)
-	ncells := nsys * len(r.Queries)
-	workers := min(r.concurrency(), ncells)
+	var breakers []*faultline.Breaker
+	if r.Resilience != nil {
+		workers = min(workers, nsys)
+		breakers = make([]*faultline.Breaker, nsys)
+		for i := range breakers {
+			breakers[i] = newBreaker()
+		}
+		order := &turns{next: make([]int, nsys), held: make([]bool, nsys)}
+		claim = func(last int) (int, int, bool) { return order.claim(last, nq) }
+	}
 	tel := r.Telemetry
 	if tel != nil {
 		tel.Gauge(MetricWorkers).Set(int64(workers))
@@ -138,7 +170,7 @@ func (r *Runner) EvaluateAllContext(ctx context.Context, systems ...integration.
 		if r.Resilience != nil {
 			seed = r.Resilience.JitterSeed
 		}
-		jr.RunStart(names, len(r.Queries), workers, r.Resilience != nil, seed)
+		jr.RunStart(names, nq, workers, r.Resilience != nil, seed)
 		runStarted = time.Now()
 		if tel != nil {
 			var once sync.Once
@@ -150,32 +182,23 @@ func (r *Runner) EvaluateAllContext(ctx context.Context, systems ...integration.
 			defer stopSampler()
 		}
 	}
-	truths := make([]truth, len(r.Queries))
-	var next atomic.Int64
+	truths := make([]truth, nq)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			// A cancelled run stops claiming; a claimed cell still runs.
+			last := -1 // the system of this worker's previous cell
 			for ctx.Err() == nil {
-				k := int(next.Add(1) - 1)
-				if k >= ncells {
+				qi, si, ok := claim(last)
+				if !ok {
 					return
 				}
-				qi, si := k/nsys, k%nsys
+				last = si
 				var claimed time.Time
 				if tel != nil {
 					claimed = time.Now()
-				}
-				if gates != nil {
-					select {
-					case <-gates[si][qi]:
-					case <-ctx.Done():
-						// The cell still runs (evalCell degrades it to a
-						// ctx-error result) and the successor gate still
-						// opens, so no sibling worker is left waiting.
-					}
 				}
 				var br *faultline.Breaker
 				if breakers != nil {
@@ -211,9 +234,6 @@ func (r *Runner) EvaluateAllContext(ctx context.Context, systems ...integration.
 					}
 				}
 				t.release(nsys)
-				if gates != nil {
-					close(gates[si][qi+1])
-				}
 				// Workers that never park starve the scheduler: with
 				// GOMAXPROCS 2 the GC has only fractional mark workers,
 				// which get a P only when the scheduler runs. Yield between
@@ -264,9 +284,11 @@ func (r *Runner) evalCell(ctx context.Context, sys integration.System, q *Query,
 	return res
 }
 
-// evalCellRec is evalCell's core. A non-nil rec wraps the Answer call in a
-// root eval span and threads the recorder to the system through the request
-// context; a nil rec takes the original zero-overhead path.
+// evalCellRec is evalCell's core. A non-nil rec wraps the Answer call in
+// the cell's eval span and threads the recorder to the system through the
+// request context. The eval span is the cell's answer span: on success it
+// carries the answer's row count and one transform event per external
+// function the answer charged. A nil rec takes the zero-overhead path.
 func (r *Runner) evalCellRec(ctx context.Context, sys integration.System, q *Query, t *truth, rec *explain.Recorder, br *faultline.Breaker) QueryResult {
 	res := QueryResult{QueryID: q.ID}
 	if err := ctx.Err(); err != nil {
@@ -288,9 +310,7 @@ func (r *Runner) evalCellRec(ctx context.Context, sys integration.System, q *Que
 	}
 	var ans *integration.Answer
 	if r.Resilience != nil {
-		var attempts []Attempt
-		ans, attempts, err = r.answerResilient(ctx, sys, req, rec, br)
-		res.Attempts = attempts
+		ans, res.Attempts, err = r.answerResilient(ctx, sys, req, rec, br)
 		if err != nil && !errors.Is(err, integration.ErrUnsupported) && ctx.Err() == nil {
 			// Exhausted retries (or a permanent fault): the cell degrades
 			// to an error result instead of sinking the run.
@@ -301,6 +321,12 @@ func (r *Runner) evalCellRec(ctx context.Context, sys integration.System, q *Que
 		}
 	} else {
 		ans, err = r.answer(ctx, sys, req)
+	}
+	if err == nil && rec != nil {
+		root.SetRows(-1, len(ans.Rows))
+		for _, f := range ans.Functions {
+			rec.Event(explain.KindTransform, f.Name, explain.A("complexity", strconv.Itoa(f.Complexity)))
+		}
 	}
 	root.End()
 	switch {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"thalia/internal/cohera"
+	"thalia/internal/faultline"
 	"thalia/internal/hetero"
 	"thalia/internal/integration"
 	"thalia/internal/iwiz"
@@ -54,11 +55,13 @@ func renderCards(cards []*Scorecard) string {
 
 // paper12AllocBudget caps the allocations of one sequential EvaluateAll of
 // fresh instances of the four built-in systems: the paper's twelve queries
-// against each. A run takes about 14500 with the mapping kernels as byte
-// scanners, the lexicons built once and each row keyed in one buffer; it
-// took about 20400 when the kernels were regular expressions, every system
+// against each. A run takes about 13250 with the mapping kernels as byte
+// scanners, the lexicons and the Declarative Mediator's global queries
+// built once, and each row keyed in one buffer; it took about 13760 when
+// every Declarative Mediator answer rebuilt all twelve global queries, and
+// about 20400 when the kernels were regular expressions, every system
 // built its own lexicon and Row.Key joined a slice of pairs.
-const paper12AllocBudget = 15500
+const paper12AllocBudget = 14000
 
 func TestPaper12AllocationBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(1, func() {
@@ -118,30 +121,23 @@ func TestParallelMatchesSequentialByteIdentical(t *testing.T) {
 }
 
 // TestObserverMatrix pins the observers' invisibility together: every
-// subset of {telemetry, ExplainFailures, journal} at pools 1, 2 and 8
-// renders the plain sequential run's scorecards byte for byte and scores
-// the digest in testdata/paper12.digest. The default resilience policy
-// with no faults, with telemetry and the journal on and off, renders the
-// same scorecards and scores testdata/paper12-resilience.digest (its
-// attempt histories are part of the digest). A journaled run's replay
-// must reproduce the digest too.
+// subset of {telemetry, ExplainFailures, journal, faults} at pools 1, 2
+// and 8 renders testdata/paper12.render byte for byte and scores the
+// digest in testdata/paper12.digest. The faults observer wraps each system
+// in a zero-fault faultline plan. Under the default resilience policy
+// every subset renders the same scorecards and scores
+// testdata/paper12-resilience.digest (its attempt histories are part of
+// the digest). A journaled run's replay must reproduce the digest too.
 func TestObserverMatrix(t *testing.T) {
-	plain, err := NewSequentialRunner().EvaluateAll(allSystems()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderCards(plain)
+	want := readGolden(t, "testdata/paper12.render")
 	for _, resilient := range []bool{false, true} {
 		golden := "testdata/paper12.digest"
 		if resilient {
 			golden = "testdata/paper12-resilience.digest"
 		}
-		digest := readDigest(t, golden)
-		for mask := 0; mask < 8; mask++ {
-			tel, exp, jr := mask&1 != 0, mask&2 != 0, mask&4 != 0
-			if resilient && exp {
-				continue
-			}
+		digest := strings.TrimSpace(readGolden(t, golden))
+		for mask := 0; mask < 16; mask++ {
+			tel, exp, jr, faults := mask&1 != 0, mask&2 != 0, mask&4 != 0, mask&8 != 0
 			for _, pool := range []int{1, 2, 8} {
 				var buf bytes.Buffer
 				r := &Runner{Queries: Queries(), Concurrency: pool, ExplainFailures: exp}
@@ -161,13 +157,21 @@ func TestObserverMatrix(t *testing.T) {
 					r.Journal = &journal.Recorder{W: journal.NewWriter(&buf), RunID: "matrix"}
 					name += "+journal"
 				}
+				systems := allSystems()
+				if faults {
+					plan := &faultline.Plan{Seed: 7} // no rules: injects nothing
+					for i, sys := range systems {
+						systems[i] = faultline.Wrap(sys, plan, r.Telemetry)
+					}
+					name += "+faults"
+				}
 				t.Run(fmt.Sprintf("%s/pool%d", name, pool), func(t *testing.T) {
-					cards, err := r.EvaluateAll(allSystems()...)
+					cards, err := r.EvaluateAll(systems...)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if got := renderCards(cards); got != want {
-						t.Errorf("rendered scorecards differ from the plain sequential run")
+						t.Errorf("rendered scorecards differ from testdata/paper12.render")
 					}
 					if got := ScorecardDigest(cards); got != digest {
 						t.Errorf("scorecard digest %s, want %s", got, digest)
@@ -188,14 +192,14 @@ func TestObserverMatrix(t *testing.T) {
 	}
 }
 
-// readDigest reads a committed scorecard digest.
-func readDigest(t *testing.T, path string) string {
+// readGolden reads a committed golden file.
+func readGolden(t *testing.T, path string) string {
 	t.Helper()
 	golden, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return strings.TrimSpace(string(golden))
+	return string(golden)
 }
 
 // TestTruthComputedOncePerQuery proves the sharing the engine promises:
@@ -280,10 +284,46 @@ func TestTruthReleasedAfterLastCell(t *testing.T) {
 	}
 }
 
+// TestTurnsQueryMajor pins how a resilient run hands out cells: never two
+// cells of one system at once, each system's cells in query order, and
+// otherwise query-major, so a free worker takes the least advanced idle
+// system rather than its own system's next cell.
+func TestTurnsQueryMajor(t *testing.T) {
+	order := &turns{next: make([]int, 3), held: make([]bool, 3)}
+	type cell struct{ qi, si int }
+	none := cell{-1, -1}
+	// Three systems, three queries, two workers; worker 2's first cell
+	// outlasts five of worker 1's.
+	for i, step := range []struct {
+		last int
+		want cell
+	}{
+		{-1, cell{0, 0}}, // worker 1
+		{-1, cell{0, 1}}, // worker 2
+		{0, cell{0, 2}},  // worker 1: system 2's q0 comes before system 0's q1
+		{2, cell{1, 0}},  // ties go to the lowest system
+		{0, cell{1, 2}},
+		{2, cell{2, 0}}, // system 1's q1 is lower, but its q0 still runs
+		{0, cell{2, 2}},
+		{2, none},       // only system 1 has cells left, and it is held
+		{1, cell{1, 1}}, // worker 2
+		{1, cell{2, 1}},
+		{1, none},
+	} {
+		got := none
+		if qi, si, ok := order.claim(step.last, 3); ok {
+			got = cell{qi, si}
+		}
+		if got != step.want {
+			t.Fatalf("claim %d (releasing %d) = %v, want %v", i, step.last, got, step.want)
+		}
+	}
+}
+
 // TestResilientCancelDrains cancels a run mid-way under the default
-// resilience policy at pool 8: the claim loop and the breaker gate ladder
-// must return ctx.Err() without deadlock, and every goroutine the run
-// started must exit.
+// resilience policy at pool 8: the workers, one per system, must stop
+// claiming cells, the run must return ctx.Err(), and every goroutine the
+// run started must exit.
 func TestResilientCancelDrains(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())

@@ -24,16 +24,8 @@ func cellEvent(system string, res QueryResult, latency time.Duration) journal.Ce
 		Degraded:   res.Degraded,
 		Missing:    len(res.Missing),
 		Extra:      len(res.Extra),
+		Attempts:   res.Attempts,
 		LatencyNS:  latency.Nanoseconds(),
-	}
-	if len(res.Attempts) > 0 {
-		c.Attempts = make([]journal.Attempt, len(res.Attempts))
-		for i, a := range res.Attempts {
-			c.Attempts[i] = journal.Attempt{
-				N: a.N, Err: a.Err, Transient: a.Transient,
-				BackoffNS: a.Backoff.Nanoseconds(), Shed: a.Shed,
-			}
-		}
 	}
 	if res.Explain != nil && !res.Explain.Empty() {
 		c.ExplainDigest = res.Explain.Digest()

@@ -10,6 +10,7 @@ import (
 	"thalia/internal/explain"
 	"thalia/internal/faultline"
 	"thalia/internal/integration"
+	"thalia/internal/journal"
 	"thalia/internal/telemetry"
 )
 
@@ -91,26 +92,6 @@ func (p *Resilience) Backoff(system string, query, attempt int) time.Duration {
 	return time.Duration(float64(d) * frac)
 }
 
-// Attempt is one entry of a cell's attempt history. It records only
-// deterministic facts — the outcome, its retryability classification, and
-// the scheduled backoff — never wall-clock durations, so same-seed chaos
-// runs render byte-identical histories.
-type Attempt struct {
-	// N is the 1-based attempt number.
-	N int
-	// Err is the attempt's failure, "" on success.
-	Err string
-	// Transient marks the failure retryable (the attempt was not final
-	// because of it).
-	Transient bool
-	// Backoff is the delay scheduled after this failed attempt; 0 when no
-	// retry followed.
-	Backoff time.Duration
-	// Shed marks an attempt the open circuit breaker refused without
-	// calling the system.
-	Shed bool
-}
-
 // retryable classifies an attempt failure: retry only what the source
 // marks transient, plus the engine's own deadline expiries.
 func retryable(err error) bool {
@@ -123,11 +104,11 @@ func retryable(err error) bool {
 // check, attempt-stamped Answer call under QueryTimeout, classification,
 // deterministic backoff. It returns the final answer or error plus the
 // full attempt history. The caller decides degradation.
-func (r *Runner) answerResilient(ctx context.Context, sys integration.System, req integration.Request, rec *explain.Recorder, br *faultline.Breaker) (*integration.Answer, []Attempt, error) {
+func (r *Runner) answerResilient(ctx context.Context, sys integration.System, req integration.Request, rec *explain.Recorder, br *faultline.Breaker) (*integration.Answer, []journal.Attempt, error) {
 	p := r.Resilience
 	system := sys.Name()
 	max := p.attempts()
-	attempts := make([]Attempt, 0, max)
+	attempts := make([]journal.Attempt, 0, max)
 	var lastErr error
 	for n := 1; n <= max; n++ {
 		if n > 1 && r.Telemetry != nil {
@@ -137,9 +118,9 @@ func (r *Runner) answerResilient(ctx context.Context, sys integration.System, re
 			if r.Telemetry != nil {
 				r.Telemetry.Counter(MetricShed, telemetry.L("system", system)).Inc()
 			}
-			a := Attempt{N: n, Err: ErrBreakerOpen.Error(), Transient: true, Shed: true}
+			a := journal.Attempt{N: n, Err: ErrBreakerOpen.Error(), Transient: true, Shed: true}
 			if n < max {
-				a.Backoff = p.Backoff(system, req.QueryID, n)
+				a.BackoffNS = p.Backoff(system, req.QueryID, n).Nanoseconds()
 			}
 			if rec != nil {
 				rec.Event(explain.KindAttempt, fmt.Sprintf("attempt %d", n),
@@ -147,7 +128,7 @@ func (r *Runner) answerResilient(ctx context.Context, sys integration.System, re
 			}
 			attempts = append(attempts, a)
 			lastErr = ErrBreakerOpen
-			if n < max && !sleep(ctx, a.Backoff) {
+			if n < max && !sleep(ctx, time.Duration(a.BackoffNS)) {
 				return nil, attempts, ctx.Err()
 			}
 			continue
@@ -162,7 +143,7 @@ func (r *Runner) answerResilient(ctx context.Context, sys integration.System, re
 			span.With("outcome", "ok")
 			span.End()
 			br.Record(true)
-			attempts = append(attempts, Attempt{N: n})
+			attempts = append(attempts, journal.Attempt{N: n})
 			return ans, attempts, nil
 		}
 		if errors.Is(err, integration.ErrUnsupported) {
@@ -171,20 +152,20 @@ func (r *Runner) answerResilient(ctx context.Context, sys integration.System, re
 			span.With("outcome", "declined")
 			span.End()
 			br.Record(true)
-			attempts = append(attempts, Attempt{N: n, Err: err.Error()})
+			attempts = append(attempts, journal.Attempt{N: n, Err: err.Error()})
 			return nil, attempts, err
 		}
 		if ctx.Err() != nil {
 			span.With("outcome", "canceled")
 			span.End()
-			attempts = append(attempts, Attempt{N: n, Err: ctx.Err().Error()})
+			attempts = append(attempts, journal.Attempt{N: n, Err: ctx.Err().Error()})
 			return nil, attempts, ctx.Err()
 		}
 		br.Record(false)
 		retry := retryable(err) && n < max
-		a := Attempt{N: n, Err: err.Error(), Transient: retryable(err)}
+		a := journal.Attempt{N: n, Err: err.Error(), Transient: retryable(err)}
 		if retry {
-			a.Backoff = p.Backoff(system, req.QueryID, n)
+			a.BackoffNS = p.Backoff(system, req.QueryID, n).Nanoseconds()
 		}
 		span.With("outcome", "error").With("error", err.Error())
 		span.End()
@@ -193,7 +174,7 @@ func (r *Runner) answerResilient(ctx context.Context, sys integration.System, re
 		if !retry {
 			break
 		}
-		if !sleep(ctx, a.Backoff) {
+		if !sleep(ctx, time.Duration(a.BackoffNS)) {
 			return nil, attempts, ctx.Err()
 		}
 	}

@@ -3,11 +3,16 @@ package benchmark
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"thalia/internal/explain"
 	"thalia/internal/integration"
+	"thalia/internal/journal"
 	"thalia/internal/telemetry"
 )
 
@@ -93,7 +98,7 @@ func TestRetryTransientThenSucceed(t *testing.T) {
 		t.Fatalf("attempt history %v, want fail-then-ok", res.Attempts)
 	}
 	a1, a2 := res.Attempts[0], res.Attempts[1]
-	if a1.Err == "" || !a1.Transient || a1.Backoff <= 0 {
+	if a1.Err == "" || !a1.Transient || a1.BackoffNS <= 0 {
 		t.Errorf("attempt 1 = %+v, want transient failure with scheduled backoff", a1)
 	}
 	if a2.Err != "" || a2.N != 2 {
@@ -341,11 +346,11 @@ func TestFormatChaos(t *testing.T) {
 		System: "Fake",
 		Results: []QueryResult{
 			{QueryID: 1, Supported: true, Correct: true,
-				Attempts: []Attempt{{N: 1, Err: "hiccup", Transient: true, Backoff: 1500 * time.Microsecond}, {N: 2}}},
+				Attempts: []journal.Attempt{{N: 1, Err: "hiccup", Transient: true, BackoffNS: int64(1500 * time.Microsecond)}, {N: 2}}},
 			{QueryID: 2, Degraded: true, Supported: true, Err: "gone",
-				Attempts: []Attempt{{N: 1, Err: "gone"}}},
+				Attempts: []journal.Attempt{{N: 1, Err: "gone"}}},
 			{QueryID: 3,
-				Attempts: []Attempt{{N: 1, Err: ErrBreakerOpen.Error(), Transient: true, Shed: true}}},
+				Attempts: []journal.Attempt{{N: 1, Err: ErrBreakerOpen.Error(), Transient: true, Shed: true}}},
 		},
 	}}
 	got := FormatChaos(cards)
@@ -368,7 +373,10 @@ func TestFormatChaos(t *testing.T) {
 }
 
 // Runner.Explain works under a resilience policy too: the trace carries
-// attempt spans.
+// attempt spans. With a policy and without, the eval span is each built-in
+// system's answer span for every query: an answered cell's eval span holds
+// the answer's row count and one transform event per Answer.Functions
+// entry, in order, and no other node of the trace holds a transform.
 func TestExplainWithResilience(t *testing.T) {
 	sys := &fakeSystem{name: "flaky", fn: func(req integration.Request) (*integration.Answer, error) {
 		if integration.AttemptFromContext(req.Context()) == 1 {
@@ -391,4 +399,73 @@ func TestExplainWithResilience(t *testing.T) {
 	if !strings.Contains(outline, "attempt 1") || !strings.Contains(outline, "attempt 2") {
 		t.Fatalf("trace missing attempt spans:\n%s", outline)
 	}
+	transforms := 0
+	for _, policy := range []*Resilience{nil, DefaultResilience(1)} {
+		r := &Runner{Queries: Queries(), Resilience: policy}
+		for _, sys := range allSystems() {
+			for _, q := range r.Queries {
+				res, tr, err := r.Explain(context.Background(), sys, q.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				transforms += checkEvalSpan(t, fmt.Sprintf("%s q%02d (policy %t)", sys.Name(), q.ID, policy != nil), q, res, tr.Root)
+			}
+		}
+	}
+	// Cohera's, IWIZ's and the UF Full Mediator's answers charge external
+	// functions; a run with no transform events checked nothing.
+	if transforms == 0 {
+		t.Error("no cell's trace held a transform event")
+	}
+}
+
+// checkEvalSpan checks one cell's trace root against its result and
+// returns the number of transform events it holds.
+func checkEvalSpan(t *testing.T, cell string, q *Query, res QueryResult, root *explain.Node) int {
+	t.Helper()
+	if root == nil || root.Kind != explain.KindEval {
+		t.Fatalf("%s: trace root is %+v, want an eval span", cell, root)
+	}
+	var got []string
+	for _, c := range root.Children {
+		if c.Kind == explain.KindTransform {
+			got = append(got, c.Name+" "+fmt.Sprint(c.Attrs))
+		}
+		if n := countKind(c, explain.KindTransform); n > 0 && c.Kind != explain.KindTransform {
+			t.Errorf("%s: %d transform events below the eval span's child %s", cell, n, c.Name)
+		}
+	}
+	var want []string
+	for _, f := range res.Functions {
+		want = append(want, f.Name+" "+fmt.Sprint([]explain.Attr{explain.A("complexity", strconv.Itoa(f.Complexity))}))
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("%s: eval span's transform events %q, want Answer.Functions %q", cell, got, want)
+	}
+	answered := res.Err == "" && res.Supported
+	if root.HasRows != answered {
+		t.Errorf("%s: eval span HasRows %t for a cell that answered %t", cell, root.HasRows, answered)
+	}
+	if res.Correct {
+		rows, err := q.Expected()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if root.RowsOut != len(rows) {
+			t.Errorf("%s: eval span rows out %d, want the truth's %d", cell, root.RowsOut, len(rows))
+		}
+	}
+	return len(got)
+}
+
+// countKind counts the nodes of kind k in n's subtree.
+func countKind(n *explain.Node, k explain.Kind) int {
+	c := 0
+	if n.Kind == k {
+		c++
+	}
+	for _, ch := range n.Children {
+		c += countKind(ch, k)
+	}
+	return c
 }

@@ -37,10 +37,12 @@ type Runner struct {
 	ExplainFailures bool
 	// Resilience, when non-nil, runs every cell through the retry /
 	// circuit-breaker / graceful-degradation policy and attaches attempt
-	// histories (QueryResult.Attempts). Each system's cells evaluate in
-	// query order (systems still run in parallel) so breaker trajectories
-	// — and therefore scorecards — are deterministic. A cell that exhausts
-	// its retries is marked Degraded; it never aborts the run.
+	// histories (QueryResult.Attempts). A system's cells then run one at a
+	// time and in query order, each on whichever worker is free (systems
+	// still run in parallel, and a run starts at most one worker per
+	// system), so breaker trajectories — and therefore scorecards — are
+	// deterministic. A cell that exhausts its
+	// retries is marked Degraded; it never aborts the run.
 	Resilience *Resilience
 	// Journal, when non-nil, is the run's flight recorder: the evaluation
 	// appends a run-start event, per-cell lifecycle events (with attempt

@@ -39,7 +39,7 @@ type QueryResult struct {
 	// stay out of Format — FormatChaos renders them — so plain scorecards
 	// are unchanged by the policy.
 	Degraded bool
-	Attempts []Attempt
+	Attempts []journal.Attempt
 }
 
 // Complexity is the query's contribution to the complexity score: the sum

@@ -13,9 +13,10 @@ import (
 const (
 	// MetricQueueWait is the histogram of per-cell wait: the time from a
 	// worker claiming a query×system cell to the start of its evaluation.
-	// Under a resilience policy that is the breaker-gate wait for the
-	// system's previous cell; otherwise it is near zero. No labels — it
-	// measures the pool, not the workload.
+	// Nothing happens between the two, under a resilience policy too, so
+	// the metric is vestigial: it reads near zero and is kept only because
+	// bench/ reports it as engine.queue_wait_ms_p99 (ROADMAP item 1 drops
+	// both). No labels.
 	MetricQueueWait = "engine_queue_wait_seconds"
 	// MetricEvalLatency is the histogram of per-cell evaluation latency,
 	// labeled by system and by the query's heterogeneity class (q01..q12;
@@ -38,10 +39,10 @@ const (
 )
 
 // queueWaitBuckets are MetricQueueWait's bounds: DefaultBuckets, which
-// start at 100 µs, under a ladder from 1 µs. Without a resilience policy a
-// claimed cell starts within microseconds, and quantiles interpolate inside
-// the lowest bucket, so on DefaultBuckets alone every such run reads a p50
-// of 50 µs whatever its waits were.
+// start at 100 µs, under a ladder from 1 µs. A claimed cell starts within
+// microseconds, and quantiles interpolate inside the lowest bucket, so on
+// DefaultBuckets alone every run reads a p50 of 50 µs whatever its waits
+// were.
 var queueWaitBuckets = append([]float64{1e-6, 2.5e-6, 5e-6, 10e-6, 25e-6, 50e-6}, telemetry.DefaultBuckets...)
 
 // QueryLabel renders a heterogeneity class number the way engine metrics

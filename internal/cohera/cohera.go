@@ -360,18 +360,12 @@ func rows(res *minidb.Result, source string, fields ...string) []integration.Row
 // Answer implements integration.System: it computes the paper's projected
 // per-query behaviour.
 func (s *System) Answer(req integration.Request) (*integration.Answer, error) {
-	// The answer span opens before build() so a cold first call attributes
-	// the one-time testbed shredding to this cell's trace.
-	rec := explain.FromContext(req.Context())
-	if rec != nil {
-		sp := rec.Begin(explain.KindAnswer, "Cohera.Answer")
-		defer sp.End()
-	}
 	db, err := s.build()
 	if err != nil {
 		return nil, err
 	}
 	q := func(sql string) (*minidb.Result, error) { return db.Query(sql) }
+	rec := explain.FromContext(req.Context())
 	if rec != nil {
 		inner := q
 		q = func(sql string) (*minidb.Result, error) {

@@ -41,10 +41,9 @@ const (
 	// request, from the site's observer.
 	KindRequest Kind = "request"
 	// KindEval is the root span of a cell's trace: one query evaluated
-	// against one system.
+	// against one system. It is the cell's answer span: it times the
+	// system's Answer call and carries the answer's row count.
 	KindEval Kind = "eval"
-	// KindAnswer is a system's Answer call for one request.
-	KindAnswer Kind = "answer"
 	// KindFLWOR is one FLWOR expression in the XQuery evaluator.
 	KindFLWOR Kind = "flwor"
 	// KindClause is one for/let/where/order-by/return clause of a FLWOR.
@@ -335,7 +334,7 @@ func (t *Trace) Empty() bool { return t == nil || t.Root == nil }
 
 // LeafNanos sums the durations of the trace's leaf spans — the operators
 // that did the actual work. A span whose children are all events counts as
-// a leaf (a declined query's answer span carries only a decline event but
+// a leaf (a declined cell's eval span carries only a decline event but
 // represents the whole call); events themselves contribute nothing. The
 // benchmark's acceptance test checks this sum against the cell's measured
 // evaluation latency.

@@ -12,12 +12,12 @@ import (
 func TestSpanTreeShape(t *testing.T) {
 	rec := NewRecorder()
 	root := rec.Begin(KindEval, "q01 Test", A("query", "q01"))
-	ans := rec.Begin(KindAnswer, "Test.Answer")
+	mp := rec.Begin(KindMapping, "mapping gatech")
 	rec.Event(KindDoc, "gatech.xml")
 	step := rec.Begin(KindStep, "/Course")
 	step.SetRows(10, 3)
 	step.End()
-	ans.End()
+	mp.End()
 	root.End()
 
 	tr := rec.Trace()
@@ -31,8 +31,8 @@ func TestSpanTreeShape(t *testing.T) {
 		t.Fatalf("root %+v: want eval with one child", tr.Root)
 	}
 	a := tr.Root.Children[0]
-	if a.Kind != KindAnswer || len(a.Children) != 2 {
-		t.Fatalf("answer node %+v: want doc event + step child", a)
+	if a.Kind != KindMapping || len(a.Children) != 2 {
+		t.Fatalf("mapping node %+v: want doc event + step child", a)
 	}
 	if !a.Children[0].Event || a.Children[0].Kind != KindDoc {
 		t.Errorf("first child should be the doc event, got %+v", a.Children[0])
@@ -66,9 +66,9 @@ func TestEndOutOfOrderPopsStack(t *testing.T) {
 
 func TestSecondTopLevelSpanAttachesUnderRoot(t *testing.T) {
 	rec := NewRecorder()
-	first := rec.Begin(KindAnswer, "first")
+	first := rec.Begin(KindAttempt, "first")
 	first.End()
-	second := rec.Begin(KindAnswer, "second")
+	second := rec.Begin(KindAttempt, "second")
 	second.End()
 	tr := rec.Trace()
 	if tr.Root.Name != "first" || len(tr.Root.Children) != 1 || tr.Root.Children[0].Name != "second" {
@@ -122,7 +122,7 @@ func TestLeafNanos(t *testing.T) {
 	a := rec.Begin(KindPath, "a")
 	time.Sleep(2 * time.Millisecond)
 	a.End()
-	b := rec.Begin(KindAnswer, "b") // only an event below: counts as a leaf
+	b := rec.Begin(KindAttempt, "b") // only an event below: counts as a leaf
 	rec.Event(KindDecline, "unsupported")
 	time.Sleep(2 * time.Millisecond)
 	b.End()

@@ -394,18 +394,11 @@ func collect(cs []*xmldom.Element, source string, keep func(*xmldom.Element) boo
 // Answer implements integration.System: it computes the paper's projected
 // per-query behaviour, nine queries via the warehouse and three declined.
 func (s *System) Answer(req integration.Request) (*integration.Answer, error) {
-	// The answer span opens before build() so a cold first call attributes
-	// the one-time warehouse materialization to this cell's trace.
-	rec := explain.FromContext(req.Context())
-	var sp *explain.Span
-	if rec != nil {
-		sp = rec.Begin(explain.KindAnswer, "IWIZ.Answer")
-		defer sp.End()
-	}
 	if _, err := s.build(); err != nil {
 		return nil, err
 	}
 	courses := s.courses
+	rec := explain.FromContext(req.Context())
 	if rec != nil {
 		courses = func(src string) ([]*xmldom.Element, error) {
 			cs, err := s.courses(src)
@@ -422,15 +415,8 @@ func (s *System) Answer(req integration.Request) (*integration.Answer, error) {
 		}
 	}
 	answer := func(rows []integration.Row, effort integration.Effort, fn string, cx int) *integration.Answer {
-		a := &integration.Answer{Rows: rows, Effort: effort}
-		if fn != "" {
-			a.Functions = []integration.FunctionUse{{Name: fn, Complexity: cx}}
-			if rec != nil {
-				rec.Event(explain.KindTransform, fn, explain.A("complexity", strconv.Itoa(cx)))
-			}
-		}
-		sp.SetRows(-1, len(rows))
-		return a
+		return &integration.Answer{Rows: rows, Effort: effort,
+			Functions: []integration.FunctionUse{{Name: fn, Complexity: cx}}}
 	}
 
 	switch req.QueryID {

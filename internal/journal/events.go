@@ -101,16 +101,24 @@ type RunStart struct {
 	GoMaxProcs int    `json:"gomaxprocs,omitempty"`
 }
 
-// Attempt mirrors one entry of a cell's resilience attempt history. Only
-// deterministic facts are recorded (outcome, classification, scheduled
-// backoff), never measured durations — same-seed runs journal byte-equal
-// attempt histories.
+// Attempt is one entry of a cell's resilience attempt history, as the
+// engine records it and the journal stores it. Only deterministic facts
+// are recorded (outcome, classification, scheduled backoff), never
+// measured durations — same-seed runs journal byte-equal attempt
+// histories.
 type Attempt struct {
-	N         int    `json:"n"`
-	Err       string `json:"err,omitempty"`
-	Transient bool   `json:"transient,omitempty"`
-	BackoffNS int64  `json:"backoff_ns,omitempty"`
-	Shed      bool   `json:"shed,omitempty"`
+	// N is the 1-based attempt number.
+	N int `json:"n"`
+	// Err is the attempt's failure, "" on success.
+	Err string `json:"err,omitempty"`
+	// Transient marks the failure retryable.
+	Transient bool `json:"transient,omitempty"`
+	// BackoffNS is the delay scheduled after this failed attempt; 0 when
+	// no retry followed.
+	BackoffNS int64 `json:"backoff_ns,omitempty"`
+	// Shed marks an attempt the open circuit breaker refused without
+	// calling the system.
+	Shed bool `json:"shed,omitempty"`
 }
 
 // Cell is the payload of cell_start and cell_done events. cell_start fills

@@ -191,31 +191,10 @@ func (m *Mediator) charged(used ledger) map[string]int {
 // evaluation per mapped source, applies each source's mapping table, and
 // merges the per-source rows. Alongside the rows it returns the charged
 // transforms this call invoked (name → complexity), the mediator's
-// integration effort for the query. A non-nil rec records per-source
-// mapping spans, a merge event, and one transform event per charged
-// transform.
+// integration effort for the query; each call tallies them in a ledger of
+// its own. A non-nil rec records per-source mapping spans and a merge
+// event.
 func (m *Mediator) Answer(q GlobalQuery, rec *explain.Recorder) ([]Row, map[string]int, error) {
-	rows, used, err := m.answerLedger(q, rec)
-	if err != nil {
-		return nil, nil, err
-	}
-	charged := m.charged(used)
-	if rec != nil {
-		names := make([]string, 0, len(charged))
-		for n := range charged {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			rec.Event(explain.KindTransform, n,
-				explain.A("complexity", strconv.Itoa(charged[n])))
-		}
-	}
-	return rows, charged, nil
-}
-
-// answerLedger runs the evaluation with a fresh call-local ledger.
-func (m *Mediator) answerLedger(q GlobalQuery, rec *explain.Recorder) ([]Row, ledger, error) {
 	used := ledger{}
 	sources := q.Sources
 	if len(sources) == 0 {
@@ -249,7 +228,7 @@ func (m *Mediator) answerLedger(q GlobalQuery, rec *explain.Recorder) ([]Row, le
 		rec.Event(explain.KindMerge,
 			fmt.Sprintf("%d sources -> %d rows", len(sources), len(out)))
 	}
-	return out, used, nil
+	return out, m.charged(used), nil
 }
 
 // answerSource evaluates the query against one source.

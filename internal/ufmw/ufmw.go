@@ -9,7 +9,6 @@ package ufmw
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"thalia/internal/catalog"
@@ -85,33 +84,17 @@ func use(names ...string) ([]integration.FunctionUse, error) {
 	return out, nil
 }
 
-// Answer implements integration.System.
+// Answer implements integration.System: it dispatches to the per-query
+// resolution procedures. With an explain recorder in the request context it
+// marks the documents the query reads.
 func (m *Mediator) Answer(req integration.Request) (*integration.Answer, error) {
-	rec := explain.FromContext(req.Context())
-	if rec == nil {
-		return m.answer(req) // untraced fast path
-	}
-	sp := rec.Begin(explain.KindAnswer, "UFMW.Answer")
-	defer sp.End()
-	for _, src := range []string{req.Reference, req.Challenge} {
-		if src != "" {
-			rec.Event(explain.KindDoc, src+".xml")
+	if rec := explain.FromContext(req.Context()); rec != nil {
+		for _, src := range []string{req.Reference, req.Challenge} {
+			if src != "" {
+				rec.Event(explain.KindDoc, src+".xml")
+			}
 		}
 	}
-	ans, err := m.answer(req)
-	if err != nil {
-		return nil, err
-	}
-	for _, fn := range ans.Functions {
-		rec.Event(explain.KindTransform, fn.Name,
-			explain.A("complexity", strconv.Itoa(fn.Complexity)))
-	}
-	sp.SetRows(-1, len(ans.Rows))
-	return ans, nil
-}
-
-// answer dispatches to the per-query resolution procedures.
-func (m *Mediator) answer(req integration.Request) (*integration.Answer, error) {
 	switch req.QueryID {
 	case 1:
 		return m.q1()
